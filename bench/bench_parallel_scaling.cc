@@ -9,22 +9,24 @@
 //
 // Results are bit-identical at every thread count (see tests/exec_test.cc);
 // this bench reports only wall-clock and speedup. Speedup is bounded by the
-// machine: on an M-core box the ideal line is min(threads, M)x.
+// machine: on an M-core box the ideal line is min(threads, M)x. Each row is
+// the median of kReps online runs on one pipeline: single runs of the same
+// configuration have differed by 1.5x.
 //
 // A final section measures the scheduler itself: raw tasks/sec under
 // fine-grained slicing (parents fanning out tiny children) at 1/2/4/8
-// threads — the path the per-worker Chase-Lev deques exist for. External
-// submits go through the injection queue; the children ride each worker's
-// own deque, so the hot loop is PushBottom/PopBottom/Steal.
+// threads, with every submit, external or nested, going through the pool's
+// one queue.
 //
 // Usage: bench_parallel_scaling [--facts=N] [--types=K] [--json[=FILE]]
 //
 // --json writes every configuration's numbers as a machine-readable JSON
 // array (default file: BENCH_parallel.json) so CI can track the perf
 // trajectory across commits. Scaling records carry online/lattice wall
-// times; deque records ({"config": "deque_fine_grained", ...}) carry
-// tasks/sec.
+// times; scheduler records ({"config": "scheduler_fine_grained", ...})
+// carry tasks/sec.
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <fstream>
@@ -38,11 +40,15 @@ namespace spade {
 namespace bench {
 namespace {
 
+constexpr size_t kReps = 3;
+
 struct RunResult {
   std::string label;
   size_t threads = 1;
   size_t shards = 0;
-  double online_wall_ms = 0;
+  double online_wall_ms = 0;  ///< median run
+  double online_wall_min_ms = 0;
+  double online_wall_max_ms = 0;
   double lattice_wall_ms = 0;
   double lattice_work_ms = 0;
   size_t lattice_workers = 0;
@@ -53,14 +59,14 @@ struct RunResult {
 
 std::vector<RunResult> g_results;  // every RunOnce, for --json
 
-struct DequeRecord {
+struct SchedulerRecord {
   size_t threads = 1;
   size_t tasks = 0;
   double wall_ms = 0;
   double tasks_per_sec = 0;
 };
 
-std::vector<DequeRecord> g_deque_records;
+std::vector<SchedulerRecord> g_scheduler_records;
 
 RunResult RunOnce(const char* label, size_t facts, size_t types,
                   size_t threads, size_t shards) {
@@ -79,18 +85,29 @@ RunResult RunOnce(const char* label, size_t facts, size_t types,
   options.num_shards = shards;
   Spade spade(graph.get(), options);
   if (!spade.RunOffline().ok()) std::exit(1);
-  if (!spade.RunOnline().ok()) std::exit(1);
-  RunResult r;
-  r.label = label;
-  r.threads = threads;
-  r.shards = shards;
-  r.online_wall_ms = spade.report().timings.online_wall_ms;
-  r.lattice_wall_ms = spade.report().lattice_wall_ms;
-  r.lattice_work_ms = spade.report().lattice_work_ms;
-  r.lattice_workers = spade.report().lattice_workers_used;
-  r.num_cfs = spade.report().num_cfs;
-  r.num_evaluated = spade.report().num_evaluated_aggregates;
-  return r;
+  std::vector<RunResult> reps;
+  for (size_t rep = 0; rep < kReps; ++rep) {
+    if (!spade.RunOnline().ok()) std::exit(1);
+    RunResult r;
+    r.label = label;
+    r.threads = threads;
+    r.shards = shards;
+    r.online_wall_ms = spade.report().timings.online_wall_ms;
+    r.lattice_wall_ms = spade.report().lattice_wall_ms;
+    r.lattice_work_ms = spade.report().lattice_work_ms;
+    r.lattice_workers = spade.report().lattice_workers_used;
+    r.num_cfs = spade.report().num_cfs;
+    r.num_evaluated = spade.report().num_evaluated_aggregates;
+    reps.push_back(std::move(r));
+  }
+  std::sort(reps.begin(), reps.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.online_wall_ms < b.online_wall_ms;
+            });
+  RunResult median = reps[kReps / 2];
+  median.online_wall_min_ms = reps.front().online_wall_ms;
+  median.online_wall_max_ms = reps.back().online_wall_ms;
+  return median;
 }
 
 /// `shards`: within-CFS fact-range shards (0 = auto, one per thread;
@@ -103,8 +120,8 @@ void Scale(const char* label, size_t facts, size_t types, size_t shards) {
             << (shards == 0 ? std::string("shards=threads")
                             : std::to_string(shards) + " shard(s)")
             << " --\n";
-  TablePrinter table({"threads", "online ms", "speedup", "lattice ms",
-                      "lat work ms", "#CFS", "#A eval"});
+  TablePrinter table({"threads", "online ms", "min-max ms", "speedup",
+                      "lattice ms", "lat work ms", "#CFS", "#A eval"});
   double base = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     RunResult r = RunOnce(label, facts, types, threads, shards);
@@ -112,8 +129,9 @@ void Scale(const char* label, size_t facts, size_t types, size_t shards) {
     r.speedup = base / std::max(1e-6, r.online_wall_ms);
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx", r.speedup);
-    table.AddRow({std::to_string(threads), Ms(r.online_wall_ms), speedup,
-                  Ms(r.lattice_wall_ms), Ms(r.lattice_work_ms),
+    table.AddRow({std::to_string(threads), Ms(r.online_wall_ms),
+                  Ms(r.online_wall_min_ms) + "-" + Ms(r.online_wall_max_ms),
+                  speedup, Ms(r.lattice_wall_ms), Ms(r.lattice_work_ms),
                   std::to_string(r.num_cfs), std::to_string(r.num_evaluated)});
     g_results.push_back(std::move(r));
   }
@@ -121,11 +139,11 @@ void Scale(const char* label, size_t facts, size_t types, size_t shards) {
   std::cout << "\n";
 }
 
-/// Scheduler throughput under fine-grained slicing: parents arrive through
-/// the injection queue, each fans out 7 near-empty children onto its
-/// worker's own deque. Tasks/sec here is the number the Chase-Lev swap
-/// moves — the old single-mutex pool serialized every push and pop.
-void DequeThroughput() {
+/// Scheduler throughput under fine-grained slicing: the caller submits
+/// parents, each fans out 7 near-empty children from its worker — the
+/// worst case for the pool's one queue lock, far finer than any task the
+/// pipeline submits.
+void SchedulerThroughput() {
   constexpr size_t kParents = 20000;
   constexpr size_t kChildrenPerParent = 7;
   constexpr size_t kTotal = kParents * (1 + kChildrenPerParent);
@@ -148,7 +166,7 @@ void DequeThroughput() {
     while (ran.load(std::memory_order_acquire) < kTotal) {
       std::this_thread::yield();
     }
-    DequeRecord r;
+    SchedulerRecord r;
     r.threads = threads;
     r.tasks = kTotal;
     r.wall_ms = timer.ElapsedMillis();
@@ -156,7 +174,7 @@ void DequeThroughput() {
     char rate[32];
     std::snprintf(rate, sizeof(rate), "%.0f", r.tasks_per_sec);
     table.AddRow({std::to_string(threads), Ms(r.wall_ms), rate});
-    g_deque_records.push_back(r);
+    g_scheduler_records.push_back(r);
   }
   table.Print(std::cout);
   std::cout << "\n";
@@ -174,24 +192,29 @@ void WriteJson(const std::string& path) {
     const RunResult& r = g_results[i];
     out << "  {\"config\": \"" << r.label << "\", \"threads\": " << r.threads
         << ", \"shards\": " << r.shards
+        << ", \"reps\": " << kReps
         << ", \"online_wall_ms\": " << r.online_wall_ms
+        << ", \"online_wall_min_ms\": " << r.online_wall_min_ms
+        << ", \"online_wall_max_ms\": " << r.online_wall_max_ms
         << ", \"lattice_wall_ms\": " << r.lattice_wall_ms
         << ", \"lattice_work_ms\": " << r.lattice_work_ms
         << ", \"lattice_workers\": " << r.lattice_workers
         << ", \"speedup\": " << r.speedup << ", \"num_cfs\": " << r.num_cfs
         << ", \"num_evaluated\": " << r.num_evaluated << "}"
-        << (i + 1 < g_results.size() || !g_deque_records.empty() ? "," : "")
+        << (i + 1 < g_results.size() || !g_scheduler_records.empty() ? ","
+                                                                      : "")
         << "\n";
   }
-  for (size_t i = 0; i < g_deque_records.size(); ++i) {
-    const DequeRecord& r = g_deque_records[i];
-    out << "  {\"config\": \"deque_fine_grained\", \"threads\": " << r.threads
-        << ", \"tasks\": " << r.tasks << ", \"wall_ms\": " << r.wall_ms
+  for (size_t i = 0; i < g_scheduler_records.size(); ++i) {
+    const SchedulerRecord& r = g_scheduler_records[i];
+    out << "  {\"config\": \"scheduler_fine_grained\", \"threads\": "
+        << r.threads << ", \"tasks\": " << r.tasks
+        << ", \"wall_ms\": " << r.wall_ms
         << ", \"tasks_per_sec\": " << r.tasks_per_sec << "}"
-        << (i + 1 < g_deque_records.size() ? "," : "") << "\n";
+        << (i + 1 < g_scheduler_records.size() ? "," : "") << "\n";
   }
   out << "]\n";
-  std::cout << "wrote " << g_results.size() + g_deque_records.size()
+  std::cout << "wrote " << g_results.size() + g_scheduler_records.size()
             << " records to " << path << "\n";
 }
 
@@ -227,8 +250,8 @@ int main(int argc, char** argv) {
   spade::bench::Scale("fig12_single_cfs_sharded", facts, 1, 0);
   // Multi-tenant shape: one ARM shard per CFS, embarrassingly parallel.
   spade::bench::Scale("multi_cfs", facts, types, 1);
-  // Scheduler-only: raw task throughput on the work-stealing deques.
-  spade::bench::DequeThroughput();
+  // Scheduler-only: raw task throughput through the pool's queue.
+  spade::bench::SchedulerThroughput();
   if (!json_path.empty()) spade::bench::WriteJson(json_path);
   return 0;
 }

@@ -96,11 +96,7 @@ Status Spade::RunOffline(TripleChunkSource* source) {
     return status;
   }
   Timer offline_timer;
-  size_t num_threads = options_.num_threads == 0
-                           ? ThreadPool::HardwareConcurrency()
-                           : options_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
+  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.num_threads);
   TaskScheduler scheduler(pool.get());
 
   // Parse / scatter / merge-seal / statistics, with the structural summary
@@ -324,22 +320,41 @@ void MergeCfsReport(const SpadeReport& cfs, SpadeReport* total) {
 Result<Spade::CfsBatchOutcome> Spade::EvaluateCfsBatch(
     const std::vector<uint32_t>& ids, size_t num_shards,
     const SpadeOptions& opts, const CancelCheck& cancel,
-    TaskScheduler* scheduler, Arm* arm, SpadeReport* report) const {
-  // Every CFS evaluates into its own shard; the commit rule below decides
-  // what the caller keeps. A cancelled run's fan-out leaves a mix of
-  // completed / truncated / aborted / skipped shards whose composition is
-  // timing-dependent — but the committed result is not, because absorption
-  // walks ids in order and stops at the first shard that is not a clean
-  // kCompleted (absorbing a budget-truncated shard's deterministic prefix
-  // first). Everything past the cut is discarded, so races only ever cost
-  // wasted work, never nondeterminism.
+    TaskScheduler* scheduler, CfsCache* cache, Arm* arm,
+    SpadeReport* report) const {
+  // A CFS with a valid cache entry (same name, same member list — ApplyDelta
+  // already dropped anything whose attributes changed) replays its retained
+  // shard; everything else evaluates fresh into its own shard.
+  std::vector<const CfsCacheEntry*> cached(ids.size(), nullptr);
+  std::vector<size_t> fresh;
+  fresh.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const CandidateFactSet& set = fact_sets_[ids[i]];
+    if (cache != nullptr) {
+      auto it = cache->find(set.name);
+      if (it != cache->end() && it->second.members == set.members) {
+        cached[i] = &it->second;
+        continue;
+      }
+    }
+    fresh.push_back(i);
+  }
+
+  // The commit rule below decides what the caller keeps. A cancelled run's
+  // fan-out leaves a mix of completed / truncated / aborted / skipped shards
+  // whose composition is timing-dependent — but the committed result is
+  // not, because absorption walks ids in order and stops at the first shard
+  // that is not a clean kCompleted (absorbing a budget-truncated shard's
+  // deterministic prefix first). Everything past the cut is discarded, so
+  // races only ever cost wasted work, never nondeterminism.
   std::vector<Arm> shards(ids.size(), Arm(opts.max_stored_groups));
   std::vector<SpadeReport> partials(ids.size());
   std::vector<CfsRunState> states(ids.size(), CfsRunState::kSkipped);
   try {
     scheduler->ParallelFor(
-        ids.size(),
-        [&](size_t i) {
+        fresh.size(),
+        [&](size_t f) {
+          const size_t i = fresh[f];
           states[i] = RunOnlineCfs(ids[i], num_shards, opts, &cancel,
                                    &shards[i], scheduler, &partials[i]);
         },
@@ -351,11 +366,28 @@ Result<Spade::CfsBatchOutcome> Spade::EvaluateCfsBatch(
     return Status::Internal("online evaluation failed: unknown exception");
   }
 
+  // Cached and fresh shards interleave exactly where a full evaluation would
+  // have produced them, so the absorbed entry order (and therefore every
+  // downstream ranking tie-break) is bit-identical to evaluating them all.
   CfsBatchOutcome out;
   for (size_t i = 0; i < ids.size(); ++i) {
+    if (cached[i] != nullptr) {
+      // A retained shard is a complete deterministic group stream for this
+      // CFS: it commits exactly like a fresh kCompleted shard.
+      MergeCfsReport(cached[i]->partial, report);
+      arm->Absorb(Arm(cached[i]->shard));
+      ++report->num_cfs_reused;
+      ++out.num_completed;
+      continue;
+    }
     if (states[i] == CfsRunState::kCompleted ||
         states[i] == CfsRunState::kTruncated) {
       MergeCfsReport(partials[i], report);
+      if (cache != nullptr && states[i] == CfsRunState::kCompleted) {
+        // Cache the pre-absorb shard (a copy: Absorb consumes).
+        const CandidateFactSet& set = fact_sets_[ids[i]];
+        (*cache)[set.name] = CfsCacheEntry{set.members, shards[i], partials[i]};
+      }
       arm->Absorb(std::move(shards[i]));
       if (states[i] == CfsRunState::kCompleted) {
         ++out.num_completed;
@@ -366,96 +398,7 @@ Result<Spade::CfsBatchOutcome> Spade::EvaluateCfsBatch(
       return out;
     }
     // kAborted / kSkipped: cut here. The shard (if any) is timing-dependent
-    // partial output — discard it and everything after.
-    out.truncated = true;
-    out.reason = cancel.reason() != CancelReason::kNone ? cancel.reason()
-                                                        : CancelReason::kCancelled;
-    return out;
-  }
-  return out;
-}
-
-Result<Spade::CfsBatchOutcome> Spade::EvaluateAllCfsCached(
-    size_t num_shards, const CancelCheck& cancel, TaskScheduler* scheduler) {
-  const uint32_t num_cfs = static_cast<uint32_t>(fact_sets_.size());
-  const bool use_cache = options_.enable_incremental;
-  // Partition the selection: a CFS with a valid cache entry (same name,
-  // same member list — ApplyDelta already dropped anything whose attributes
-  // changed) absorbs its retained shard; everything else evaluates fresh.
-  std::vector<uint32_t> fresh;
-  std::vector<const CfsCacheEntry*> cached(num_cfs, nullptr);
-  fresh.reserve(num_cfs);
-  for (uint32_t id = 0; id < num_cfs; ++id) {
-    if (use_cache) {
-      auto it = online_cache_.find(fact_sets_[id].name);
-      if (it != online_cache_.end() &&
-          it->second.members == fact_sets_[id].members) {
-        cached[id] = &it->second;
-        continue;
-      }
-    }
-    fresh.push_back(id);
-  }
-
-  std::vector<Arm> shards(fresh.size(), Arm(options_.max_stored_groups));
-  std::vector<SpadeReport> partials(fresh.size());
-  std::vector<CfsRunState> states(fresh.size(), CfsRunState::kSkipped);
-  try {
-    scheduler->ParallelFor(
-        fresh.size(),
-        [&](size_t i) {
-          states[i] = RunOnlineCfs(fresh[i], num_shards, options_, &cancel,
-                                   &shards[i], scheduler, &partials[i]);
-        },
-        &cancel);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("online evaluation failed: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("online evaluation failed: unknown exception");
-  }
-
-  // Commit walk over ALL cfs_ids in ascending order — cached and fresh
-  // shards interleave exactly where the serial run would have produced
-  // them, so the absorbed entry order (and therefore every downstream
-  // ranking tie-break) is bit-identical to a full re-evaluation.
-  CfsBatchOutcome out;
-  size_t fi = 0;
-  for (uint32_t id = 0; id < num_cfs; ++id) {
-    if (cached[id] != nullptr) {
-      // A retained shard is a complete deterministic group stream for this
-      // CFS: it commits exactly like a fresh kCompleted shard.
-      MergeCfsReport(cached[id]->partial, &report_);
-      Arm copy = cached[id]->shard;
-      arm_->Absorb(std::move(copy));
-      ++report_.num_cfs_reused;
-      ++out.num_completed;
-      continue;
-    }
-    const size_t i = fi++;
-    if (states[i] == CfsRunState::kCompleted ||
-        states[i] == CfsRunState::kTruncated) {
-      MergeCfsReport(partials[i], &report_);
-      if (use_cache && states[i] == CfsRunState::kCompleted) {
-        // Cache the pre-absorb shard (a copy: Absorb consumes) so a later
-        // run can replay it without re-evaluating.
-        CfsCacheEntry entry;
-        entry.members = fact_sets_[id].members;
-        entry.shard = shards[i];
-        entry.partial = partials[i];
-        online_cache_[fact_sets_[id].name] = std::move(entry);
-      }
-      arm_->Absorb(std::move(shards[i]));
-      if (states[i] == CfsRunState::kCompleted) {
-        ++out.num_completed;
-        continue;
-      }
-      out.truncated = true;
-      out.reason = CancelReason::kBudget;
-      return out;
-    }
-    // kAborted / kSkipped: cut here (same canonical-prefix rule as
-    // EvaluateCfsBatch); a timing-dependent partial shard is never cached.
+    // partial output — discard it and everything after; it is never cached.
     out.truncated = true;
     out.reason = cancel.reason() != CancelReason::kNone ? cancel.reason()
                                                         : CancelReason::kCancelled;
@@ -469,69 +412,25 @@ Result<std::vector<Insight>> Spade::RunOnline() {
     return Status::Internal("RunOffline() must complete before RunOnline()");
   }
   Timer online_timer;
-  Timer timer;
-
-  // Step 1: Candidate Fact Set Selection (a no-op when a loaded snapshot
-  // already restored the selection — that time is in cfs_selection_ms).
+  // Step 1: Candidate Fact Set Selection (a no-op when a loaded snapshot or
+  // an earlier call already made the selection — that time stays in
+  // cfs_selection_ms).
   SPADE_RETURN_NOT_OK(PrepareFactSets());
-  timer.Restart();
+  ResetOnlineState();
 
-  // Steps 2-4 per CFS. Every CFS evaluates into its own ARM shard
-  // (AggregateKey embeds the cfs_id, so shards never share keys); shards are
-  // absorbed in cfs_id order, which makes the result independent of the
-  // thread count — bit-identical insights and counts at any num_threads.
-  size_t num_threads = options_.num_threads == 0
-                           ? ThreadPool::HardwareConcurrency()
-                           : options_.num_threads;
-  report_.num_threads_used = num_threads;
-  report_.simd_kernel = simd::FoldKernelKindName(
-      simd::ResolveFoldKernel(options_.mvd.simd).kind);
-  // Within-CFS sharding: auto means one shard per worker, so a lone large
-  // CFS can still occupy the whole pool. Results are bit-identical at every
-  // shard count, so the resolution only affects wall-clock. Ineligible
-  // configurations resolve to 1 (same rule the factory dispatches on), so
-  // the report never claims sharding that did not run.
-  size_t num_shards = ResolveShardCount(options_.algorithm,
-                                        options_.enable_earlystop,
-                                        options_.num_shards, num_threads);
-  report_.num_shards_used = num_shards;
-
-  // One code path for both modes: a null pool makes the scheduler run every
-  // CFS inline in order. Outer parallelism is across CFSs; within a CFS, the
-  // evaluator fans the per-lattice pre-builds out on the same scheduler
-  // (nested ParallelFor). The calling thread participates in every
-  // ParallelFor, so the pool carries num_threads - 1 workers.
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
+  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.num_threads);
   TaskScheduler scheduler(pool.get());
-
-  // Deadline / cancellation plumbing: an external token (options_.cancel)
-  // lets a caller abort mid-run; deadline_ms bounds the wall-clock. Both
-  // funnel into one CancelCheck — a local token backs the deadline latch
-  // when no external one is supplied.
-  CancelToken local_token;
-  CancelToken* token = options_.cancel != nullptr ? options_.cancel
-                                                  : &local_token;
-  Deadline deadline = options_.deadline_ms > 0
-                          ? Deadline::After(options_.deadline_ms)
-                          : Deadline::Never();
-  CancelCheck cancel(token, deadline);
-
-  auto batch = EvaluateAllCfsCached(num_shards, cancel, &scheduler);
-  SPADE_RETURN_NOT_OK(batch.status());
-  report_.truncated = batch->truncated;
-  report_.cancel_reason = batch->reason;
-  report_.num_cfs_completed = batch->num_completed;
-  // Early-stop time is inside evaluation wall-clock; report it separately.
-  report_.timings.evaluation_ms -= report_.timings.earlystop_ms;
-  timer.Restart();
-
-  // Step 5: Top-k Computation.
-  std::vector<Insight> insights =
-      BuildInsights(arm_->TopK(options_.top_k, options_.interestingness));
-  report_.timings.topk_ms = timer.ElapsedMillis();
+  // Every fact set, the pipeline's own knobs and deadline (an unset request
+  // field inherits them).
+  ExploreRequest all;
+  all.cancel = options_.cancel;
+  auto outcome =
+      ExploreInto(all, &scheduler,
+                  options_.enable_incremental ? &online_cache_ : nullptr,
+                  arm_.get(), &report_);
+  SPADE_RETURN_NOT_OK(outcome.status());
   report_.timings.online_wall_ms = online_timer.ElapsedMillis();
-  return insights;
+  return std::move(outcome->insights);
 }
 
 std::vector<Insight> Spade::BuildInsights(std::vector<Arm::Ranked> ranked) const {
@@ -551,6 +450,17 @@ std::vector<Insight> Spade::BuildInsights(std::vector<Arm::Ranked> ranked) const
 
 Result<ExploreOutcome> Spade::Explore(const ExploreRequest& request,
                                       TaskScheduler* scheduler) const {
+  // Request-local ARM and report: concurrent requests never share a
+  // mutable byte.
+  Arm arm(options_.max_stored_groups);
+  SpadeReport report;
+  return ExploreInto(request, scheduler, /*cache=*/nullptr, &arm, &report);
+}
+
+Result<ExploreOutcome> Spade::ExploreInto(const ExploreRequest& request,
+                                          TaskScheduler* scheduler,
+                                          CfsCache* cache, Arm* arm,
+                                          SpadeReport* report) const {
   if (!offline_done_ || !fact_sets_ready_) {
     return Status::Internal(
         "RunOffline() and PrepareFactSets() must complete before Explore()");
@@ -585,14 +495,27 @@ Result<ExploreOutcome> Spade::Explore(const ExploreRequest& request,
     opts.enumeration.min_support_ratio = *request.min_support_ratio;
   }
 
+  // Steps 2-4 per CFS. Every CFS evaluates into its own ARM shard
+  // (AggregateKey embeds the cfs_id, so shards never share keys); shards are
+  // absorbed in cfs_id order, which makes the result independent of the
+  // thread count. Outer parallelism is across CFSs; within a CFS, the
+  // evaluator fans out on the same scheduler (nested ParallelFor).
   TaskScheduler serial(nullptr);
   TaskScheduler* sched = scheduler != nullptr ? scheduler : &serial;
-  const size_t num_shards =
+  report->num_threads_used = sched->num_threads();
+  report->simd_kernel =
+      simd::FoldKernelKindName(simd::ResolveFoldKernel(opts.mvd.simd).kind);
+  // Within-CFS sharding: auto means one shard per worker, so a lone large
+  // CFS can still occupy the whole pool. Ineligible configurations resolve
+  // to 1 (same rule the factory dispatches on), so the report never claims
+  // sharding that did not run.
+  report->num_shards_used =
       ResolveShardCount(opts.algorithm, opts.enable_earlystop, opts.num_shards,
                         sched->num_threads());
 
   // Per-request deadline: an explicit request value (even 0, meaning
-  // "already expired") overrides the pipeline default.
+  // "already expired") overrides the pipeline default. A local token backs
+  // the deadline latch when no external one is supplied.
   CancelToken local_token;
   CancelToken* token = request.cancel != nullptr ? request.cancel : &local_token;
   Deadline deadline = Deadline::Never();
@@ -603,21 +526,24 @@ Result<ExploreOutcome> Spade::Explore(const ExploreRequest& request,
   }
   CancelCheck cancel(token, deadline);
 
-  // Same shard-and-absorb discipline as RunOnline(), on request-local state:
-  // results are bit-identical at every thread/shard count and concurrent
-  // requests never share a mutable byte.
-  Arm arm(opts.max_stored_groups);
-  SpadeReport batch_report;
-  auto batch = EvaluateCfsBatch(ids, num_shards, opts, cancel, sched, &arm,
-                                &batch_report);
+  auto batch = EvaluateCfsBatch(ids, report->num_shards_used, opts, cancel,
+                                sched, cache, arm, report);
   SPADE_RETURN_NOT_OK(batch.status());
+  report->truncated = batch->truncated;
+  report->cancel_reason = batch->reason;
+  report->num_cfs_completed = batch->num_completed;
+  // Early-stop time is inside evaluation wall-clock; report it separately.
+  report->timings.evaluation_ms -= report->timings.earlystop_ms;
+  Timer timer;
 
+  // Step 5: Top-k Computation.
   ExploreOutcome outcome;
   outcome.num_cfs_explored = ids.size();
   outcome.truncated = batch->truncated;
   outcome.cancel_reason = batch->reason;
   outcome.num_cfs_completed = batch->num_completed;
-  outcome.insights = BuildInsights(arm.TopK(opts.top_k, opts.interestingness));
+  outcome.insights = BuildInsights(arm->TopK(opts.top_k, opts.interestingness));
+  report->timings.topk_ms = timer.ElapsedMillis();
   return outcome;
 }
 

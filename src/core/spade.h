@@ -96,11 +96,12 @@ struct SpadeOptions {
   CancelToken* cancel = nullptr;
   /// Incremental maintenance: retain each CFS's online result (its full ARM
   /// shard + report deltas) across RunOnline() calls and reuse it for CFSs
-  /// no delta has touched. ApplyDelta() invalidates exactly the CFSs whose
-  /// member lists or supported attributes changed, so the next RunOnline()
-  /// re-evaluates only those — results stay bit-identical to a full re-run
-  /// (proved by the differential harness in tests/delta_test.cc). Costs one
-  /// retained shard per clean CFS.
+  /// no delta has touched; Explore() never reads it. ApplyDelta()
+  /// invalidates exactly the CFSs whose member lists or supported
+  /// attributes changed, so the next RunOnline() re-evaluates only those —
+  /// results stay bit-identical to a full re-run (proved by the
+  /// differential harness in tests/delta_test.cc). Costs one retained shard
+  /// per clean CFS.
   bool enable_incremental = false;
 };
 
@@ -269,7 +270,11 @@ class Spade {
   /// byte-identical store, identical statistics and downstream results.
   Status RunOffline(TripleChunkSource* source);
 
-  /// Online Processing, steps 1-5. Requires RunOffline() first.
+  /// Online Processing, steps 1-5: PrepareFactSets(), then the Explore()
+  /// path over every fact set with the pipeline's knobs, deadline and
+  /// cancel token, keeping its ARM in arm() and its counters in report().
+  /// Repeatable: each call starts from a reset online state. Requires
+  /// RunOffline() first.
   Result<std::vector<Insight>> RunOnline();
 
   /// Step 1 (Candidate Fact Set Selection) on its own: populate fact_sets().
@@ -376,10 +381,25 @@ class Spade {
                            Arm* arm, TaskScheduler* scheduler,
                            SpadeReport* report) const;
 
+  /// One retained per-CFS online result (SpadeOptions::enable_incremental):
+  /// the CFS's full pre-absorb ARM shard plus its partial report, keyed by
+  /// CFS name. Valid while the CFS's member list and every attribute with
+  /// support in it are unchanged; ApplyDelta() revalidates and retags
+  /// entries, Compact() drops them all.
+  struct CfsCacheEntry {
+    std::vector<TermId> members;
+    Arm shard{0};
+    SpadeReport partial;
+  };
+  using CfsCache = std::map<std::string, CfsCacheEntry>;
+
   /// Evaluate `ids` (ascending cfs_ids) under `cancel`, then commit shards
   /// into `arm` in order by the rule that keeps results a canonical prefix:
   /// absorb while CFSs completed; absorb a budget-truncated CFS's
   /// deterministic prefix and stop; discard aborted/skipped CFSs and stop.
+  /// With a `cache`, a CFS holding a valid entry replays its retained shard
+  /// instead of evaluating, and every fresh completed CFS is stored; entries
+  /// are results under the pipeline options, so only RunOnline() passes one.
   /// Exceptions from the evaluation fan-out (failpoints, bad_alloc) come
   /// back as an error Status, never propagate. Merges the absorbed CFSs'
   /// partial reports into `report`.
@@ -387,39 +407,31 @@ class Spade {
                                            size_t num_shards,
                                            const SpadeOptions& opts,
                                            const CancelCheck& cancel,
-                                           TaskScheduler* scheduler, Arm* arm,
+                                           TaskScheduler* scheduler,
+                                           CfsCache* cache, Arm* arm,
                                            SpadeReport* report) const;
 
-  /// One retained per-CFS online result (SpadeOptions::enable_incremental):
-  /// the CFS's full pre-absorb ARM shard plus its partial report, keyed by
-  /// CFS name in online_cache_. Valid while the CFS's member list and every
-  /// attribute with support in it are unchanged; ApplyDelta() revalidates
-  /// and retags entries, Compact() drops them all.
-  struct CfsCacheEntry {
-    std::vector<TermId> members;
-    Arm shard{0};
-    SpadeReport partial;
-  };
+  /// Explore()'s body: the one place that resolves the request's fact sets,
+  /// knobs, shard count, deadline and cancel token, evaluates them through
+  /// EvaluateCfsBatch into `arm`, and ranks the top-k. Fills every
+  /// online-phase field of `report` except online_wall_ms, assuming it
+  /// starts from ResetOnlineState()'s zeros. Explore() passes request-local
+  /// state; RunOnline() passes the pipeline's own ARM, report and cache.
+  Result<ExploreOutcome> ExploreInto(const ExploreRequest& request,
+                                     TaskScheduler* scheduler, CfsCache* cache,
+                                     Arm* arm, SpadeReport* report) const;
 
   /// The sequential offline pass over graph_ (summary, direct tables,
   /// statistics, derivations). RunOffline() wraps it; Compact() reruns it
   /// over the canonically rebuilt graph.
   Status BuildOfflineSequential();
 
-  /// Drop arm_ and every online-phase report field; offline fields and the
-  /// incremental cache stay. ApplyDelta()/Compact() call this so the next
-  /// RunOnline() accumulates from zero.
+  /// Drop arm_ and every online-phase report field; offline fields, the
+  /// CFS selection (and its cfs_selection_ms) and the incremental cache
+  /// stay. RunOnline() starts from here, so repeated calls report the same
+  /// counters; ApplyDelta()/Compact() call it because their id changes
+  /// leave the old ARM meaningless.
   void ResetOnlineState();
-
-  /// RunOnline()'s steps 2-4 with the incremental cache: evaluate only CFSs
-  /// without a valid cache entry, then walk every cfs_id in ascending order,
-  /// absorbing cached shards (copies) and fresh shards under the same
-  /// canonical-prefix commit rule as EvaluateCfsBatch. Completed fresh CFSs
-  /// are cached (pre-absorb copies) when incremental mode is on; with it
-  /// off this degenerates to the plain batch evaluation.
-  Result<CfsBatchOutcome> EvaluateAllCfsCached(size_t num_shards,
-                                               const CancelCheck& cancel,
-                                               TaskScheduler* scheduler);
 
   /// Turn a ranking into presentable insights (provenance + SPARQL).
   std::vector<Insight> BuildInsights(std::vector<Arm::Ranked> ranked) const;
@@ -446,7 +458,7 @@ class Spade {
   bool offline_done_ = false;
   bool fact_sets_ready_ = false;
   /// Per-CFS online results retained for reuse (enable_incremental).
-  std::map<std::string, CfsCacheEntry> online_cache_;
+  CfsCache online_cache_;
   size_t num_deltas_applied_ = 0;
   /// Owns the mmap behind a loaded store; must outlive graph_/db_/summary_
   /// contents, which borrow from it.

@@ -81,7 +81,6 @@ void Spade::ResetOnlineState() {
   report_.cancel_reason = CancelReason::kNone;
   report_.num_cfs_completed = 0;
   SpadeTimings& t = report_.timings;
-  t.cfs_selection_ms = 0;
   t.attribute_analysis_ms = 0;
   t.enumeration_ms = 0;
   t.earlystop_ms = 0;
@@ -284,7 +283,7 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
   // (An entry referencing a vanished attribute cannot be clean — a vanished
   // attribute with support in the CFS intersects its members — but the
   // remap still guards against it.)
-  std::map<std::string, CfsCacheEntry> kept;
+  CfsCache kept;
   const uint32_t num_sets = static_cast<uint32_t>(fact_sets_.size());
   for (uint32_t id = 0; id < num_sets; ++id) {
     const CandidateFactSet& set = fact_sets_[id];

@@ -9,50 +9,32 @@
 
 namespace spade {
 
-namespace {
-// Worker identity: set once per pool thread, read by Submit to route nested
-// submissions onto the submitting worker's own deque (owner-side lock-free
-// push). Null on every non-pool thread.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local size_t tls_worker = 0;
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
-  deques_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    deques_.push_back(std::make_unique<WorkStealingDeque>());
-  }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    stop_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
   cv_.notify_all();
-  // Workers exit only at stop && pending == 0, so every queued task — and
-  // every task those tasks spawn — has run by the time the joins return.
+  // A worker exits only when it finds stop_ set AND the queue empty. A task
+  // still running elsewhere may enqueue more, but its own worker re-checks
+  // the queue before it can exit, so every spawn chain drains before the
+  // joins return.
   for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  auto* t = new WorkStealingDeque::Task(std::move(task));
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_pool == this) {
-    deques_[tls_worker]->PushBottom(t);
-  } else {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    injection_.push_back(t);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
   }
-  // Empty critical section: orders this enqueue against any worker that is
-  // deciding to sleep (it re-checks queues under the same mutex), so the
-  // notify below can never be the one that got away.
-  { std::lock_guard<std::mutex> lock(sleep_mutex_); }
   cv_.notify_one();
 }
 
@@ -61,62 +43,24 @@ size_t ThreadPool::HardwareConcurrency() {
   return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
-WorkStealingDeque::Task* ThreadPool::TryAcquire(size_t index) {
-  // Own work first (LIFO keeps the task's working set hot) ...
-  if (WorkStealingDeque::Task* t = deques_[index]->PopBottom()) return t;
-  // ... then externally injected work ...
-  {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    if (!injection_.empty()) {
-      WorkStealingDeque::Task* t = injection_.front();
-      injection_.pop_front();
-      return t;
-    }
-  }
-  // ... then steal, sweeping the other workers from our right neighbor
-  // (FIFO on the victim: thieves take the oldest, coarsest task).
-  for (size_t k = 1; k < deques_.size(); ++k) {
-    size_t victim = (index + k) % deques_.size();
-    if (WorkStealingDeque::Task* t = deques_[victim]->Steal()) return t;
-  }
-  return nullptr;
-}
-
-bool ThreadPool::HasQueuedWork() {
-  for (const auto& d : deques_) {
-    if (!d->EmptyHint()) return true;
-  }
-  std::lock_guard<std::mutex> lock(inject_mutex_);
-  return !injection_.empty();
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_pool = this;
-  tls_worker = index;
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (WorkStealingDeque::Task* t = TryAcquire(index)) {
-      (*t)();
-      delete t;
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          stop_.load(std::memory_order_acquire)) {
-        // Last task of the drain: wake siblings blocked on the exit check.
-        { std::lock_guard<std::mutex> lock(sleep_mutex_); }
-        cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-    // Re-check under the mutex: any enqueue ordered before our lock is
-    // visible here; any enqueue after it will send a notify into our wait.
-    // A steal we lost by a race surfaces as pending_ > 0 with running
-    // owners — their completion or their spawns will notify.
-    if (HasQueuedWork()) continue;
-    cv_.wait(lock);
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop_ set and nothing left to drain
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    task = nullptr;  // release captured state before retaking the lock
+    lock.lock();
   }
+}
+
+std::unique_ptr<ThreadPool> MakeWorkerPool(size_t num_threads) {
+  if (num_threads == 0) num_threads = ThreadPool::HardwareConcurrency();
+  if (num_threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(num_threads - 1);
 }
 
 void TaskScheduler::ParallelFor(size_t n, const std::function<void(size_t)>& fn,

@@ -1,37 +1,27 @@
 #ifndef SPADE_EXEC_THREAD_POOL_H_
 #define SPADE_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "src/exec/work_deque.h"
 #include "src/util/cancel.h"
 
 namespace spade {
 
-/// \brief Fixed-size worker pool over per-worker Chase–Lev lock-free deques.
+/// \brief Fixed-size worker pool over one mutex-guarded FIFO queue.
 ///
-/// Every worker owns one WorkStealingDeque. A task submitted FROM a pool
-/// worker (nested ParallelFor helpers, TaskGroup fan-out from inside a
-/// task) is pushed lock-free onto that worker's own deque — the
-/// overwhelmingly common case once lattice slices, ingest chunks, and fold
-/// tasks nest. External threads (the caller driving the pipeline) submit
-/// through a small mutex-guarded injection queue. An idle worker pops its
-/// own deque LIFO, then takes from the injection queue, then steals FIFO
-/// from the other workers' deques — no global lock anywhere on the
-/// task-transfer path (the old pool serialized every push, pop, and steal
-/// on one mutex).
-///
-/// Sleep/wake uses the enqueue-then-lock-then-notify protocol: a submitter
-/// enqueues, then acquires the sleep mutex (empty critical section) and
-/// notifies. A worker only blocks after re-checking, under that mutex, that
-/// every queue looks empty — so either the worker's check sees the enqueue
-/// (mutex ordering) or the submitter's notify reaches the worker's wait.
+/// Every Submit, from any thread (the caller driving the pipeline or a
+/// running task fanning out), appends to the one queue and wakes one
+/// sleeping worker; workers pop from the front. The pipeline submits a
+/// handful of coarse tasks per run (CFS evaluations, ParallelFor helpers,
+/// ingest chunks, serve requests), so one lock on the transfer path costs
+/// nothing measurable.
 ///
 /// The destructor drains every queued task before joining (a task submitted
 /// is a task run, including tasks submitted by running tasks), so
@@ -54,26 +44,21 @@ class ThreadPool {
   static size_t HardwareConcurrency();
 
  private:
-  void WorkerLoop(size_t index);
-  /// Own deque -> injection queue -> steal sweep. Null when nothing found.
-  WorkStealingDeque::Task* TryAcquire(size_t index);
-  /// Accurate for every task enqueued before the call (used under
-  /// sleep_mutex_ to decide blocking).
-  bool HasQueuedWork();
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
-  std::mutex inject_mutex_;
-  std::deque<WorkStealingDeque::Task*> injection_;  // guarded by inject_mutex_
-
-  /// Tasks enqueued but not yet finished running. Workers may only exit
-  /// when stop_ is set AND this is zero — tasks spawned by running tasks
-  /// keep the pool alive until the whole chain drains.
-  std::atomic<size_t> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex sleep_mutex_;
-  std::condition_variable cv_;
+  std::mutex mutex_;
+  std::condition_variable cv_;               // waits on queue_ / stop_
+  std::deque<std::function<void()>> queue_;  // guarded by mutex_
+  bool stop_ = false;                        // guarded by mutex_
   std::vector<std::thread> workers_;
 };
+
+/// The pool behind an entry point's TaskScheduler, sized by the rule every
+/// entry point shares: `num_threads` compute threads in total (0 = hardware
+/// concurrency), the calling thread among them — it participates in every
+/// ParallelFor — so the pool carries num_threads - 1 workers, and is null
+/// when that leaves none (a TaskScheduler over null runs inline).
+std::unique_ptr<ThreadPool> MakeWorkerPool(size_t num_threads);
 
 /// \brief Cooperative fork-join scheduling on top of a ThreadPool.
 ///
@@ -88,8 +73,7 @@ class TaskScheduler {
   explicit TaskScheduler(ThreadPool* pool) : pool_(pool) {}
 
   /// The calling thread always participates in ParallelFor, so a pool of K
-  /// workers gives K + 1 compute threads. Spade sizes the pool at
-  /// num_threads - 1 for this reason.
+  /// workers gives K + 1 compute threads (see MakeWorkerPool).
   bool parallel() const { return pool_ != nullptr && pool_->num_threads() > 0; }
   /// Total compute threads a ParallelFor can use, caller included.
   size_t num_threads() const { return parallel() ? pool_->num_threads() + 1 : 1; }

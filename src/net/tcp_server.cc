@@ -266,11 +266,7 @@ TcpServeStats TcpServer::Run() {
   }
 
   // One scheduler for all in-flight requests, exactly like pipe mode.
-  const size_t num_threads = options_.serve.num_threads == 0
-                                 ? ThreadPool::HardwareConcurrency()
-                                 : options_.serve.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
+  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.serve.num_threads);
   TaskScheduler scheduler(pool.get());
   TaskGroup group(&scheduler);
   im.scheduler = &scheduler;

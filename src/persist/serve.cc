@@ -1,5 +1,6 @@
 #include "src/persist/serve.h"
 
+#include <deque>
 #include <fstream>
 #include <istream>
 #include <memory>
@@ -323,11 +324,7 @@ std::string InsightServer::HandleLine(const std::string& line,
 
 ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
   Timer timer;
-  const size_t num_threads = options_.num_threads == 0
-                                 ? ThreadPool::HardwareConcurrency()
-                                 : options_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
+  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.num_threads);
   TaskScheduler scheduler(pool.get());
   TaskGroup group(&scheduler);
   const size_t max_inflight = options_.max_inflight == 0
@@ -336,14 +333,19 @@ ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
 
   // Responses flush strictly in request order: each request owns a slot,
   // finished blocks park there until every earlier block has been written.
+  // Only the unflushed window is kept: slots[0] belongs to request
+  // flushed + 1, so a long session holds no per-request state once written.
   ServeStats stats;
   std::mutex mu;
-  std::vector<std::unique_ptr<std::string>> slots;
-  size_t flushed = 0;
-  auto flush_ready = [&out, &slots, &flushed] {  // callers hold mu
-    while (flushed < slots.size() && slots[flushed] != nullptr) {
-      out << *slots[flushed];
-      slots[flushed].reset();
+  std::deque<std::unique_ptr<std::string>> slots;  // guarded by mu
+  uint64_t flushed = 0;                            // guarded by mu
+  // Parks request `id`'s block, then writes every block now in order.
+  auto park = [&out, &slots, &flushed](uint64_t id, std::string block) {
+    // callers hold mu
+    slots[id - 1 - flushed] = std::make_unique<std::string>(std::move(block));
+    while (!slots.empty() && slots.front() != nullptr) {
+      out << *slots.front();
+      slots.pop_front();
       ++flushed;
     }
     out.flush();
@@ -359,24 +361,22 @@ ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
     {
       std::lock_guard<std::mutex> lock(mu);
       slots.emplace_back(nullptr);
-      id = slots.size();  // ids count from 1
+      id = flushed + slots.size();  // ids count from 1
     }
     // Oversized lines are answered without being parsed (or echoed): the
     // guard bounds per-request memory against malformed or hostile input.
     if (options_.max_line_bytes > 0 && trimmed.size() > options_.max_line_bytes) {
       std::lock_guard<std::mutex> lock(mu);
-      slots[id - 1] = std::make_unique<std::string>(FormatResponseBlock(
-          id, /*request=*/"",
-          OversizedLineBody(trimmed.size(), options_.max_line_bytes),
-          /*echo=*/false));
+      park(id, FormatResponseBlock(
+                   id, /*request=*/"",
+                   OversizedLineBody(trimmed.size(), options_.max_line_bytes),
+                   /*echo=*/false));
       ++stats.num_requests;
       ++stats.num_errors;
-      flush_ready();
       continue;
     }
     const std::string request(trimmed);
-    group.Run([this, id, request, &scheduler, &mu, &slots, &stats,
-               &flush_ready] {
+    group.Run([this, id, request, &scheduler, &mu, &stats, &park] {
       bool is_error = false;
       bool truncated = false;
       std::string body = HandleLine(request, &scheduler, /*cancel=*/nullptr,
@@ -384,20 +384,15 @@ ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
       std::string block =
           FormatResponseBlock(id, request, body, options_.echo);
       std::lock_guard<std::mutex> lock(mu);
-      slots[id - 1] = std::make_unique<std::string>(std::move(block));
+      park(id, std::move(block));
       ++stats.num_requests;
       if (is_error) ++stats.num_errors;
       if (truncated) ++stats.num_truncated;
-      flush_ready();
     });
     // Backpressure: don't read unboundedly ahead of evaluation.
     group.WaitPendingBelow(max_inflight);
   }
   group.Wait();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    flush_ready();
-  }
   stats.wall_ms = timer.ElapsedMillis();
   return stats;
 }

@@ -41,8 +41,9 @@ TEST(ThreadPoolTest, HardwareConcurrencyIsPositive) {
 }
 
 TEST(ThreadPoolTest, TasksSubmittedByTasksAreDrainedBeforeDestruction) {
-  // Nested submissions land on the submitting worker's own deque; the
-  // destructor's drain contract has to cover the whole spawn chain.
+  // Nested submissions join the queue while the destructor may already be
+  // stopping the workers; the drain contract has to cover the whole spawn
+  // chain.
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
@@ -56,95 +57,12 @@ TEST(ThreadPoolTest, TasksSubmittedByTasksAreDrainedBeforeDestruction) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-// --- WorkStealingDeque (Chase-Lev) ----------------------------------------
-
-TEST(WorkDequeTest, OwnerPopsLifoThievesStealFifo) {
-  WorkStealingDeque dq;
-  auto* a = new WorkStealingDeque::Task([] {});
-  auto* b = new WorkStealingDeque::Task([] {});
-  auto* c = new WorkStealingDeque::Task([] {});
-  dq.PushBottom(a);
-  dq.PushBottom(b);
-  dq.PushBottom(c);
-  EXPECT_FALSE(dq.EmptyHint());
-  EXPECT_EQ(dq.Steal(), a);      // oldest first
-  EXPECT_EQ(dq.PopBottom(), c);  // newest first
-  EXPECT_EQ(dq.PopBottom(), b);
-  EXPECT_EQ(dq.PopBottom(), nullptr);
-  EXPECT_EQ(dq.Steal(), nullptr);
-  EXPECT_TRUE(dq.EmptyHint());
-  delete a;
-  delete b;
-  delete c;
-}
-
-TEST(WorkDequeTest, GrowsPastInitialCapacityPreservingOrder) {
-  WorkStealingDeque dq(/*initial_capacity=*/2);
-  std::vector<WorkStealingDeque::Task*> tasks;
-  for (int i = 0; i < 300; ++i) {
-    tasks.push_back(new WorkStealingDeque::Task([] {}));
-    dq.PushBottom(tasks.back());
-  }
-  for (int i = 0; i < 150; ++i) {  // FIFO from the top
-    EXPECT_EQ(dq.Steal(), tasks[i]) << i;
-  }
-  for (int i = 299; i >= 150; --i) {  // LIFO from the bottom
-    EXPECT_EQ(dq.PopBottom(), tasks[i]) << i;
-  }
-  EXPECT_EQ(dq.PopBottom(), nullptr);
-  for (auto* t : tasks) delete t;
-}
-
-TEST(WorkDequeTest, ConcurrentStealsLoseNothingDuplicateNothing) {
-  // One owner pushes and pops; several thieves hammer Steal. Every task
-  // must be claimed exactly once across all parties. (Run under TSan in CI,
-  // this is also the memory-model check on the fence-free mapping.)
-  constexpr int kTasks = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque dq(/*initial_capacity=*/4);
-  std::vector<std::atomic<int>> claimed(kTasks);
-  for (auto& c : claimed) c.store(0);
-  std::atomic<int> remaining{kTasks};
-  std::atomic<bool> done{false};
-  auto claim = [&](WorkStealingDeque::Task* t) {
-    if (t == nullptr) return;
-    (*t)();
-    delete t;
-    remaining.fetch_sub(1);
-  };
-  std::vector<std::thread> thieves;
-  for (int th = 0; th < kThieves; ++th) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) claim(dq.Steal());
-    });
-  }
-  // Owner: pushes in bursts, popping some of its own work in between.
-  for (int i = 0; i < kTasks; ++i) {
-    dq.PushBottom(new WorkStealingDeque::Task(
-        [&claimed, i] { claimed[i].fetch_add(1); }));
-    if (i % 3 == 0) claim(dq.PopBottom());
-  }
-  while (remaining.load() > 0) {
-    WorkStealingDeque::Task* t = dq.PopBottom();
-    if (t == nullptr && dq.EmptyHint()) {
-      std::this_thread::yield();  // thieves still finishing their claims
-    }
-    claim(t);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(claimed[i].load(), 1) << "task " << i;
-  }
-  EXPECT_TRUE(dq.EmptyHint());
-}
-
-TEST(ThreadPoolStressTest, StealHeavyFineGrainedTasksAllRunExactlyOnce) {
-  // Steal-heavy by construction: every task is submitted from the external
-  // thread through the injection queue, and each one immediately spawns
-  // tiny children onto its worker's own deque — idle workers must live off
-  // stealing. Microsecond-scale bodies keep the deques churning. (The TSan
-  // CI job runs this; it is the data-race check on the lock-free pool.)
+TEST(ThreadPoolStressTest, NestedFineGrainedTasksAllRunExactlyOnce) {
+  // Contention-heavy by construction: the external thread and every worker
+  // submit at once — each task immediately spawns tiny children — so the
+  // queue's lock is fought over from all sides. Microsecond-scale bodies
+  // keep it churning. (The TSan CI job runs this; it is the data-race check
+  // on the pool.)
   constexpr int kRounds = 200;
   constexpr int kChildren = 16;
   std::vector<std::atomic<int>> hits(kRounds * kChildren);
@@ -168,7 +86,7 @@ TEST(ThreadPoolStressTest, StealHeavyFineGrainedTasksAllRunExactlyOnce) {
 
 TEST(ThreadPoolStressTest, ParallelForUnderContention) {
   // Many short ParallelFor rounds on a pool bigger than the work: workers
-  // spend most of their time in the sleep/steal protocol, the regression
+  // spend most of their time going to sleep and waking up, the regression
   // surface for lost-wakeup bugs (a hang here is the failure mode).
   ThreadPool pool(8);
   TaskScheduler scheduler(&pool);

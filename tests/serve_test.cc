@@ -148,6 +148,38 @@ TEST_F(ServeEdgeTest, StatsCountErrorsTruncationsAndOversizedRequests) {
   EXPECT_EQ(out.find("#6 "), std::string::npos) << out;
 }
 
+TEST_F(ServeEdgeTest, LongStreamMatchesSerialOutputAtFourThreads) {
+  // A few thousand requests through the ordered-flush window: cheap verbs,
+  // errors and expired deadlines finish out of order around the occasional
+  // real explore, and the stream must still equal the 1-thread one byte for
+  // byte.
+  std::string requests;
+  const std::string cfs = spade_->fact_sets().front().name;
+  for (int i = 1; i <= 3000; ++i) {
+    if (i % 100 == 0) {
+      requests += "explore top=1 max-dims=1\n";
+    } else if (i % 100 == 50) {
+      requests += "explore cfs=" + cfs + " top=2 max-dims=1\n";
+    } else {
+      const char* cheap[] = {"stats\n", "list\n", "bogus\n",
+                             "explore top=1 timeout=0\n"};
+      requests += cheap[i % 4];
+    }
+  }
+  persist::ServeOptions sopts;
+  sopts.num_threads = 1;
+  persist::ServeStats serial_stats;
+  const std::string serial = Run(requests, sopts, &serial_stats);
+  sopts.num_threads = 4;
+  persist::ServeStats parallel_stats;
+  const std::string parallel = Run(requests, sopts, &parallel_stats);
+  EXPECT_EQ(serial_stats.num_requests, 3000u);
+  EXPECT_EQ(parallel_stats.num_requests, 3000u);
+  EXPECT_EQ(parallel_stats.num_errors, serial_stats.num_errors);
+  EXPECT_NE(serial.find("#3000 ok 1\n"), std::string::npos);
+  EXPECT_TRUE(serial == parallel);
+}
+
 TEST_F(ServeEdgeTest, ServerDeadlineCapsAndDefaultsRequestTimeouts) {
   persist::ServeOptions sopts;
   sopts.request_deadline_ms = 0.0001;  // effectively: everything truncates

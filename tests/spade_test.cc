@@ -48,6 +48,55 @@ TEST(SpadeTest, EndToEndOnCeos) {
   EXPECT_GT(report.num_evaluated_aggregates, 0u);
 }
 
+TEST(SpadeTest, RunOnlineIsRepeatable) {
+  // A second RunOnline() on the same pipeline reports what the first did:
+  // every counter starts from zero again (with the incremental cache on,
+  // the second call replays cached shards but still counts each once), and
+  // the one-time CFS selection keeps its time.
+  SyntheticOptions sopts;
+  sopts.num_facts = 3000;
+  sopts.num_fact_types = 3;
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "plain");
+    auto graph = GenerateSynthetic(sopts);
+    SpadeOptions options = SmallOptions();
+    options.enable_incremental = incremental;
+    Spade spade(graph.get(), options);
+    ASSERT_TRUE(spade.RunOffline().ok());
+    auto first = spade.RunOnline();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const SpadeReport a = spade.report();
+    const size_t first_aggregates = spade.arm().num_aggregates();
+    auto second = spade.RunOnline();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    const SpadeReport& b = spade.report();
+
+    EXPECT_GT(a.num_lattices, 0u);
+    EXPECT_EQ(b.num_cfs, a.num_cfs);
+    EXPECT_EQ(b.num_lattices, a.num_lattices);
+    EXPECT_EQ(b.num_candidate_aggregates, a.num_candidate_aggregates);
+    EXPECT_EQ(b.num_evaluated_aggregates, a.num_evaluated_aggregates);
+    EXPECT_EQ(b.num_reused_aggregates, a.num_reused_aggregates);
+    EXPECT_EQ(b.num_pruned_aggregates, a.num_pruned_aggregates);
+    EXPECT_EQ(b.num_groups_emitted, a.num_groups_emitted);
+    EXPECT_EQ(b.num_groups_skipped, a.num_groups_skipped);
+    EXPECT_EQ(b.num_cfs_completed, a.num_cfs_completed);
+    EXPECT_EQ(b.shard_fact_counts, a.shard_fact_counts);
+    EXPECT_EQ(b.peak_bitmap_bytes, a.peak_bitmap_bytes);
+    EXPECT_EQ(b.num_cfs_reused, incremental ? a.num_cfs : 0u);
+    EXPECT_EQ(b.timings.cfs_selection_ms, a.timings.cfs_selection_ms);
+    EXPECT_GE(b.timings.evaluation_ms, 0.0);
+    EXPECT_EQ(spade.arm().num_aggregates(), first_aggregates);
+
+    ASSERT_EQ(second->size(), first->size());
+    for (size_t i = 0; i < first->size(); ++i) {
+      EXPECT_TRUE((*second)[i].ranked.key == (*first)[i].ranked.key) << i;
+      EXPECT_EQ((*second)[i].ranked.score, (*first)[i].ranked.score) << i;
+      EXPECT_EQ((*second)[i].description, (*first)[i].description) << i;
+    }
+  }
+}
+
 TEST(SpadeTest, OnlineRequiresOffline) {
   auto graph = GenerateCeos(42, 0.1);
   Spade spade(graph.get(), SmallOptions());
