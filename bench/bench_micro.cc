@@ -240,21 +240,26 @@ void BM_ScaffoldStdFunction(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaffoldStdFunction)->Arg(20000)->Arg(100000);
 
-// The collect-and-canonical-emit protocol at one worker measures the
-// overhead the parallel path pays over direct streaming emit (the price of
-// worker-count-independent results even at 1 thread).
+// The collect-into-canonical-lists protocol at one worker, walked in
+// canonical order, measures the overhead the parallel path pays over direct
+// streaming emit (the price of worker-count-independent results even at 1
+// thread).
 void BM_ParallelLatticeRunOneWorker(benchmark::State& state) {
   ScaffoldData data = MakeScaffoldData(static_cast<size_t>(state.range(0)), 4);
   for (auto _ : state) {
     uint64_t checksum = 0;
-    ParallelLatticeRun<MicroCountCell>(
-        data.mmst, data.tr, /*wanted=*/nullptr, /*num_workers=*/1,
-        /*scheduler=*/nullptr, [](MicroCountCell* c, FactId) { c->n += 1; },
-        [](MicroCountCell* dst, const MicroCountCell& src) { dst->n += src.n; },
-        [](uint32_t, Span<int32_t>) { return true; },
-        [&](uint32_t, Span<int32_t>, MicroCountCell& cell) {
-          checksum += cell.n;
-        });
+    std::vector<NodeGroups<MicroCountCell>> lists =
+        ParallelLatticeRun<MicroCountCell>(
+            data.mmst, data.tr, /*wanted=*/nullptr, /*num_workers=*/1,
+            /*scheduler=*/nullptr,
+            [](MicroCountCell* c, FactId) { c->n += 1; },
+            [](MicroCountCell* dst, const MicroCountCell& src) {
+              dst->n += src.n;
+            },
+            [](uint32_t, Span<int32_t>) { return true; });
+    for (const NodeGroups<MicroCountCell>& list : lists) {
+      for (const auto& group : list) checksum += group.second.n;
+    }
     benchmark::DoNotOptimize(checksum);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

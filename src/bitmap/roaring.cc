@@ -79,13 +79,36 @@ void RoaringBitmap::RunToBitset(Container* c) {
   c->kind = ContainerKind::kBitset;
 }
 
+size_t RoaringBitmap::CountRuns(const Container& c) {
+  switch (c.kind) {
+    case ContainerKind::kArray: {
+      size_t runs = c.vals.empty() ? 0 : 1;
+      for (size_t i = 1; i < c.vals.size(); ++i) {
+        if (c.vals[i] != c.vals[i - 1] + 1) ++runs;
+      }
+      return runs;
+    }
+    case ContainerKind::kRun:
+      return c.vals.size() / 2;  // canonical: runs are maximal
+    case ContainerKind::kBitset: {
+      // A run starts at every set bit whose predecessor bit is clear.
+      size_t runs = 0;
+      uint64_t carry = 0;  // top bit of the previous word
+      for (uint64_t w : c.bits) {
+        uint64_t starts = w & ~((w << 1) | carry);
+        runs += static_cast<size_t>(__builtin_popcountll(starts));
+        carry = w >> 63;
+      }
+      return runs;
+    }
+  }
+  return 0;
+}
+
 void RoaringBitmap::ConvertOversizedArray(Container* c) {
   // The array outgrew kArrayToBitsetThreshold. Count maximal runs: the run
   // encoding costs 4 bytes per run, the bitset a flat 8 KiB.
-  size_t runs = c->vals.empty() ? 0 : 1;
-  for (size_t i = 1; i < c->vals.size(); ++i) {
-    if (c->vals[i] != c->vals[i - 1] + 1) ++runs;
-  }
+  size_t runs = CountRuns(*c);
   if (runs >= kRunToBitsetThreshold) {
     ArrayToBitset(c);
     return;
@@ -806,6 +829,21 @@ uint64_t RoaringBitmap::MemoryBytes() const {
   for (const Container& c : containers_) {
     bytes += c.vals.capacity() * sizeof(uint16_t);
     bytes += c.bits.capacity() * sizeof(uint64_t);
+  }
+  return bytes;
+}
+
+uint64_t RoaringBitmap::CanonicalBytes() const {
+  uint64_t bytes = sizeof(*this);
+  if (cardinality_ <= kInlineCapacity) return bytes;
+  bytes += containers_.size() * sizeof(Container);
+  for (const Container& c : containers_) {
+    uint64_t payload = std::min<uint64_t>(4 * CountRuns(c),
+                                          kWordsPerBitset * sizeof(uint64_t));
+    if (c.card <= kArrayToBitsetThreshold) {
+      payload = std::min<uint64_t>(payload, 2 * uint64_t{c.card});
+    }
+    bytes += payload;
   }
   return bytes;
 }

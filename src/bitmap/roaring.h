@@ -174,7 +174,18 @@ class RoaringBitmap {
 
   /// Heap bytes used (plus the object itself); the Section 4.3 memory-model
   /// accounting. An inline (non-spilled) bitmap reports sizeof(*this) only.
+  /// Vector capacities and container kinds depend on how the set was built
+  /// (ordered appends vs unions of partials), so equal sets may differ.
   uint64_t MemoryBytes() const;
+
+  /// Bytes of the set's smallest encoding: the object, plus — past
+  /// kInlineCapacity values — one container header per 2^16-value chunk and
+  /// each chunk's cheapest legal payload (array at 2 B/value up to 4096
+  /// values, runs at 4 B/run, or the 8 KiB bitset), at exact capacity. A
+  /// pure function of the set, so equal sets report equal bytes however
+  /// they were assembled — what a budget that must cut at the same group
+  /// in every configuration accounts with.
+  uint64_t CanonicalBytes() const;
 
   /// Paper upper bound on the bytes a Roaring bitmap needs for Z values drawn
   /// from [0, u): 2*Z + 9*(u/65535 + 1) + 8 (Section 4.3). Run containers
@@ -259,6 +270,8 @@ class RoaringBitmap {
   static void SetBitRange(std::vector<uint64_t>* bits, uint32_t from,
                           uint32_t to);
   static uint32_t Popcount(const std::vector<uint64_t>& bits);
+  /// Maximal runs of consecutive values in the container.
+  static size_t CountRuns(const Container& c);
 };
 
 }  // namespace spade

@@ -23,11 +23,12 @@ Arm::Handle Arm::Find(const AggregateKey& key) const {
   return it->second;
 }
 
-void Arm::AddGroup(Handle handle, std::vector<TermId> dim_values, double value) {
+void Arm::AddGroup(Handle handle, const std::vector<TermId>& dim_values,
+                   double value) {
   Entry& entry = entries_[handle];
   entry.moments.Add(value);
   if (entry.groups.size() < max_stored_groups_) {
-    entry.groups.push_back(GroupResult{std::move(dim_values), value});
+    entry.groups.push_back(GroupResult{dim_values, value});
   }
 }
 

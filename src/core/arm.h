@@ -42,8 +42,12 @@ class Arm {
   Handle Find(const AggregateKey& key) const;
 
   /// Append one group tuple of the MDA. Each group must be added exactly
-  /// once (the cube algorithms' flush discipline guarantees this).
-  void AddGroup(Handle handle, std::vector<TermId> dim_values, double value);
+  /// once (the cube algorithms' flush discipline guarantees this). The dims
+  /// are copied only when the group is among the stored ones. Calls on
+  /// distinct handles touch disjoint entries, so they may run concurrently
+  /// (MVDCube's emit feeds each entry from one task).
+  void AddGroup(Handle handle, const std::vector<TermId>& dim_values,
+                double value);
 
   size_t num_aggregates() const { return entries_.size(); }
 

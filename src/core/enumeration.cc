@@ -22,14 +22,25 @@ bool DerivationConflict(const AttributeStore& db, AttrId a, AttrId b) {
 
 CfsAnalysis AnalyzeAttributes(const AttributeStore& db, const CfsIndex& cfs,
                               const std::vector<AttrStats>& offline,
-                              const EnumerationOptions& options) {
+                              const EnumerationOptions& options,
+                              TaskScheduler* scheduler) {
+  std::vector<OnlineAttrStats> stats(db.num_attributes());
+  auto compute = [&](size_t attr) {
+    stats[attr] = ComputeOnlineStats(db, cfs, static_cast<AttrId>(attr));
+  };
+  if (scheduler != nullptr) {
+    scheduler->ParallelFor(stats.size(), compute);
+  } else {
+    for (size_t attr = 0; attr < stats.size(); ++attr) compute(attr);
+  }
+
   CfsAnalysis analysis;
   size_t n = cfs.size();
   size_t min_support =
       std::max<size_t>(1, static_cast<size_t>(options.min_support_ratio *
                                               static_cast<double>(n)));
   for (AttrId attr = 0; attr < db.num_attributes(); ++attr) {
-    OnlineAttrStats online = ComputeOnlineStats(db, cfs, attr);
+    const OnlineAttrStats& online = stats[attr];
     if (online.support == 0) continue;
     AnalyzedAttribute a;
     a.attr = attr;

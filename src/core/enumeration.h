@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/core/aggregate.h"
+#include "src/exec/thread_pool.h"
 #include "src/stats/attr_stats.h"
 #include "src/store/attribute_store.h"
 
@@ -52,10 +53,13 @@ struct CfsAnalysis {
 /// Step 2: compute CFS-dependent statistics for every attribute whose support
 /// in the CFS is non-zero, and classify candidates as dimension / measure
 /// material. `offline` is the AttrStats array aligned with the database's
-/// attribute ids (kind and global value bounds come from it).
+/// attribute ids (kind and global value bounds come from it). With a
+/// `scheduler` the per-attribute statistics fan out one task per attribute;
+/// classification stays in attribute order, so the result is the same.
 CfsAnalysis AnalyzeAttributes(const AttributeStore& db, const CfsIndex& cfs,
                               const std::vector<AttrStats>& offline,
-                              const EnumerationOptions& options);
+                              const EnumerationOptions& options,
+                              TaskScheduler* scheduler = nullptr);
 
 /// Step 3: derive the lattices of a CFS.
 ///   (b) dimension sets = maximal frequent sets of good dimensions, filtered

@@ -471,13 +471,22 @@ std::vector<PartitionSlice> MakePartitionSlices(const Translation& data,
 /// Instrumentation of one ParallelLatticeRun.
 struct ParallelLatticeStats {
   size_t num_slices = 0;
-  double wall_ms = 0;   ///< whole run: slices + merge + canonical emit
-  double work_ms = 0;   ///< per-worker scaffold time, summed
-  double merge_ms = 0;  ///< partial merge + canonical emit (single wall)
+  /// Whole run: slices + per-node fold. EvaluateLatticeMvd adds the wall of
+  /// its canonical emit, so for MVDCube this is the lattice's whole wall.
+  double wall_ms = 0;
+  /// Per-task time summed: the slices, plus (added by EvaluateLatticeMvd)
+  /// the emit's serial pre-pass and its per-(node, column) tasks.
+  double work_ms = 0;
+  double merge_ms = 0;  ///< per-node fold of the slice partials (single wall)
   /// (node, group) partial cells collected across all slices before the
   /// merge — the memory price of partition parallelism over streaming emit.
   uint64_t peak_partial_cells = 0;
 };
+
+/// One lattice node's groups in canonical order: (packed cell id, cell)
+/// pairs, cell ids ascending and unique (see PackCellMasked).
+template <typename Cell>
+using NodeGroups = std::vector<std::pair<uint64_t, Cell>>;
 
 /// \brief Partition-parallel lattice computation (the PR 3 tentpole).
 ///
@@ -487,35 +496,32 @@ struct ParallelLatticeStats {
 /// canonical packed cell id; a group whose region spans a slice boundary is
 /// collected by several slices with partial cells. The partials are then
 /// folded per node — concatenated in ascending slice order, stable-sorted
-/// by cell id, duplicates combined with `merge` — and a single thread emits
-/// every surviving group in canonical order: node mask ascending, packed
-/// cell id ascending.
+/// by cell id, duplicates combined with `merge` — and returned indexed by
+/// node mask. Walking the result node mask ascending, then list order, is
+/// the canonical group order; UnpackCellMaskedInto turns a cell id back
+/// into the scaffold's coordinates.
 ///
 /// Determinism: with set-semantics cells (MVDCube's fact bitmaps) the fold
 /// is a set union, so the merged cell of every group equals the sequential
-/// scaffold's cell exactly, for ANY slicing — and the canonical emit order
-/// is worker-count-independent by construction. Downstream FP accumulation
-/// (bitmap ForEach scans fact ids ascending; the ARM sees groups in
-/// canonical order) is therefore bit-identical at every worker count. With
-/// FP-accumulator cells the fold order is ascending-slice, deterministic
-/// for a fixed worker count but not across counts (ArrayCube keeps the
-/// sequential scaffold).
+/// scaffold's cell exactly, for ANY slicing, and the lists' order is a pure
+/// function of the group ids. Downstream FP accumulation (bitmap decodes
+/// scan fact ids ascending; each ARM entry sees its groups in list order)
+/// is therefore bit-identical at every worker count. With FP-accumulator
+/// cells the fold order is ascending-slice, deterministic for a fixed
+/// worker count but not across counts (ArrayCube keeps the sequential
+/// scaffold).
 ///
 /// `keep(mask, coords)` filters at collection time (nodes with no consumer,
-/// null-coordinate groups); `emit(mask, coords, cell)` receives a mutable
-/// cell it may consume. `wanted` is forwarded to every slice's
-/// SetWantedNodes (nullptr = all nodes).
-template <typename Cell, typename LoadFn, typename MergeFn, typename KeepFn,
-          typename EmitFn>
-void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
-                        const std::vector<bool>* wanted, size_t num_workers,
-                        TaskScheduler* scheduler, const LoadFn& load,
-                        const MergeFn& merge, const KeepFn& keep,
-                        const EmitFn& emit,
-                        ParallelLatticeStats* stats = nullptr,
-                        const CancelCheck* cancel = nullptr) {
+/// null-coordinate groups). `wanted` is forwarded to every slice's
+/// SetWantedNodes (nullptr = all nodes). On AbortNow() the lists are
+/// partial and only fit for discarding.
+template <typename Cell, typename LoadFn, typename MergeFn, typename KeepFn>
+std::vector<NodeGroups<Cell>> ParallelLatticeRun(
+    const Mmst& mmst, const Translation& data, const std::vector<bool>* wanted,
+    size_t num_workers, TaskScheduler* scheduler, const LoadFn& load,
+    const MergeFn& merge, const KeepFn& keep,
+    ParallelLatticeStats* stats = nullptr, const CancelCheck* cancel = nullptr) {
   const CubeLayout& layout = mmst.layout();
-  const size_t n = layout.num_dims();
   const size_t num_nodes = mmst.nodes().size();
   Timer wall;
 
@@ -525,13 +531,16 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
   // Stage 1: one scaffold per slice, collecting (cell id, Cell) partials
   // per node. Within a slice each group is emitted at most once (flush
   // discipline), so the per-node sort key is unique.
-  using NodePartial = std::vector<std::pair<uint64_t, Cell>>;
-  std::vector<std::vector<NodePartial>> partials(slices.size());
+  std::vector<std::vector<NodeGroups<Cell>>> partials(slices.size());
   std::vector<double> slice_ms(slices.size(), 0.0);
+  auto by_cell_id = [](const std::pair<uint64_t, Cell>& a,
+                       const std::pair<uint64_t, Cell>& b) {
+    return a.first < b.first;
+  };
   auto run_slice = [&](size_t s) {
     Timer t;
     SPADE_FAILPOINT("core.lattice.slice");
-    std::vector<NodePartial>& mine = partials[s];
+    std::vector<NodeGroups<Cell>>& mine = partials[s];
     mine.resize(num_nodes);
     CubeScaffold<Cell> scaffold(&mmst);
     if (wanted != nullptr) scaffold.SetWantedNodes(*wanted);
@@ -542,12 +551,7 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
                                            std::move(cell));
                  },
                  cancel);
-    for (NodePartial& p : mine) {
-      std::sort(p.begin(), p.end(), [](const std::pair<uint64_t, Cell>& a,
-                                       const std::pair<uint64_t, Cell>& b) {
-        return a.first < b.first;
-      });
-    }
+    for (NodeGroups<Cell>& p : mine) std::sort(p.begin(), p.end(), by_cell_id);
     slice_ms[s] = t.ElapsedMillis();
   };
   if (scheduler != nullptr && slices.size() > 1) {
@@ -561,20 +565,21 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
 
   uint64_t partial_cells = 0;
   for (const auto& slice_partials : partials) {
-    for (const NodePartial& p : slice_partials) partial_cells += p.size();
+    for (const NodeGroups<Cell>& p : slice_partials) partial_cells += p.size();
   }
 
   // Stage 2: fold the slices per node. Nodes are independent, so the fold
   // fans out too; the per-node result is slicing-independent for
   // set-semantics merges (see class comment).
   Timer merge_timer;
-  std::vector<NodePartial> merged(num_nodes);
+  std::vector<NodeGroups<Cell>> merged(num_nodes);
   if (slices.size() == 1) {
     merged = std::move(partials[0]);  // sorted, duplicate-free already
+    merged.resize(num_nodes);  // the slice left it empty if it aborted first
   } else {
     auto fold_node = [&](size_t mask) {
       if (cancel != nullptr && cancel->AbortNow()) return;
-      NodePartial& out = merged[mask];
+      NodeGroups<Cell>& out = merged[mask];
       size_t total = 0;
       for (const auto& sp : partials) total += sp[mask].size();
       if (total == 0) return;
@@ -583,11 +588,7 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
         for (auto& kv : sp[mask]) out.push_back(std::move(kv));
       }
       // Stable: duplicates stay in ascending slice order for the merge.
-      std::stable_sort(out.begin(), out.end(),
-                       [](const std::pair<uint64_t, Cell>& a,
-                          const std::pair<uint64_t, Cell>& b) {
-                         return a.first < b.first;
-                       });
+      std::stable_sort(out.begin(), out.end(), by_cell_id);
       size_t w = 0;
       for (size_t r = 1; r < out.size(); ++r) {
         if (out[r].first == out[w].first) {
@@ -605,19 +606,6 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
     }
   }
 
-  // Stage 3: canonical emit, single-threaded — node mask ascending, packed
-  // cell id ascending. This is the one ARM stream every configuration
-  // produces.
-  std::vector<int32_t> coords(n);
-  for (size_t mask = 0; mask < num_nodes; ++mask) {
-    if (cancel != nullptr && cancel->AbortNow()) break;
-    for (auto& [cell_id, cell] : merged[mask]) {
-      UnpackCellMaskedInto(layout, static_cast<uint32_t>(mask), cell_id,
-                           coords.data());
-      emit(static_cast<uint32_t>(mask), Span<int32_t>(coords.data(), n), cell);
-    }
-  }
-
   if (stats != nullptr) {
     double work_ms = 0;
     for (double ms : slice_ms) work_ms += ms;
@@ -629,6 +617,7 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
     stats->merge_ms = merge_timer.ElapsedMillis();
     stats->peak_partial_cells = partial_cells;
   }
+  return merged;
 }
 
 }  // namespace spade

@@ -53,6 +53,23 @@ struct NodeMda {
   int fold_slot = -1;
 };
 
+/// Value of a non-count(*) MDA over one group, from its column's fold.
+double FoldedValue(sparql::AggFunc func, const simd::FoldResult& acc) {
+  switch (func) {
+    case sparql::AggFunc::kCount:
+      return acc.count;
+    case sparql::AggFunc::kSum:
+      return acc.sum;
+    case sparql::AggFunc::kAvg:
+      return acc.sum / acc.count;
+    case sparql::AggFunc::kMin:
+      return acc.min;
+    case sparql::AggFunc::kMax:
+      return acc.max;
+  }
+  return 0;
+}
+
 }  // namespace
 
 MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
@@ -144,10 +161,10 @@ MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
     }
   }
 
-  // --- Per-node fold plan, built once outside the emit loop (PR 6): the
-  // distinct measure columns each node touches. The emit fold then runs one
-  // kernel call per (group, distinct attr); the old path re-tested
-  // is_count_star per decoded block and re-folded the column once per MDA.
+  // --- Per-node fold plan, built once outside the emit: the distinct
+  // measure columns each node touches. The emit then runs one task per
+  // (node, distinct attr) and one kernel call per group in it, however many
+  // MDAs (count/sum/avg/min/max) share the column.
   const simd::FoldKernel fold_kernel = simd::ResolveFoldKernel(options.simd);
   stats.fold_kernel = fold_kernel.kind;
   std::vector<std::vector<const MeasureVector*>> node_slots(num_nodes);
@@ -163,10 +180,11 @@ MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
     }
   }
 
-  // --- Lattice Computation: partition-parallel scaffold with canonical
-  // merge-and-emit (ParallelLatticeRun). The same protocol runs at every
-  // worker count — one slice, inline, at workers = 1 — so the ARM stream is
-  // identical across all thread/shard/worker configurations by construction.
+  // --- Lattice Computation: the partition-parallel scaffold
+  // (ParallelLatticeRun) returns every consumed node's groups in canonical
+  // order. The same protocol runs at every worker count — one slice,
+  // inline, at workers = 1 — so the lists, and the ARM stream fed from
+  // them, are identical across all thread/shard/worker configurations.
   // Skip MMST subtrees with no live MDA anywhere below them.
   std::vector<bool> wanted(num_nodes, false);
   for (uint32_t mask = 0; mask < num_nodes; ++mask) {
@@ -192,92 +210,137 @@ MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
     }
     return true;
   };
-  // Emit-side scratch, lattice-scoped and reused across every group.
-  std::vector<TermId> dim_values;
-  dim_values.reserve(n);
-  std::vector<uint32_t> fact_span;  ///< full-cell decode buffer, reused
-  std::vector<simd::FoldResult> fold_results;
-  simd::FoldAcc fold_acc;
-  auto emit = [&](uint32_t mask, Span<int32_t> coords, BitmapCell& cell) {
-    const std::vector<NodeMda>& mdas = node_mdas[mask];
-    const std::vector<const MeasureVector*>& slots = node_slots[mask];
-    // All emitted cells of this lattice coexist in the merged partials, so
-    // their summed footprint is the lattice's peak bitmap memory. The budget
-    // check lives here, on the single-threaded canonical emit, because this
-    // running sum is a pure function of the (bit-identical) group stream:
-    // the cut point cannot depend on thread/shard/worker count. A trip
-    // refuses the tripping group and everything after it, but deliberately
-    // does not touch the shared cancel token — whether some *other* CFS had
-    // already been admitted when this one tripped is timing-dependent, so a
-    // budget trip must stay local to this CFS for the committed prefix to
-    // be config-independent (Spade's commit rule cuts at the first
-    // truncated CFS in cfs_id order).
-    stats.bitmap_bytes_peak += cell.facts.MemoryBytes();
-    if (!stats.budget_truncated && options.max_bitmap_bytes > 0 &&
-        budget_bytes_used + stats.bitmap_bytes_peak >
-            options.max_bitmap_bytes) {
-      stats.budget_truncated = true;
-    }
-    if (stats.budget_truncated || (cancel != nullptr && cancel->AbortNow())) {
-      stats.num_groups_skipped += mdas.size();
-      return;
-    }
-    dim_values.clear();
-    for (size_t d = 0; d < n; ++d) {
-      if (!(mask & (1u << d))) continue;
-      dim_values.push_back(encodings[d].values[coords[d]]);
-    }
-    double count_star = static_cast<double>(cell.facts.Cardinality());
-    // One full-cell decode feeds one kernel call per distinct measure attr
-    // of this node (the ⊗ of Figure 5, Section 4.3's intersect-and-fold).
-    // The span is the group's sorted fact-id set — a pure function of the
-    // group, independent of how the bitmap was assembled — and the kernel's
-    // lane order is fixed, so the folded values are bit-identical at every
-    // thread/shard/worker/kernel configuration.
-    if (!slots.empty()) {
-      cell.facts.DecodeInto(&fact_span);
-      fold_results.resize(slots.size());
-      for (size_t s = 0; s < slots.size(); ++s) {
-        const MeasureVector& mv = *slots[s];
-        fold_acc.Reset();
-        fold_kernel.fn(fact_span.data(), fact_span.size(), mv.count.data(),
-                       mv.sum.data(), mv.min.data(), mv.max.data(), &fold_acc);
-        fold_results[s] = simd::Reduce(fold_acc);
+  const std::vector<NodeGroups<BitmapCell>> groups =
+      ParallelLatticeRun<BitmapCell>(*mmst, *translation, &wanted,
+                                     lattice_workers, scheduler, load, merge,
+                                     keep, &stats.lattice, cancel);
+
+  // --- Canonical pre-pass, serial: byte accounting and the budget cut.
+  // Every returned group cell coexists here, so their summed footprint is
+  // the lattice's peak bitmap memory. Each group counts its fact set's
+  // CanonicalBytes(), not the allocation-dependent MemoryBytes(): a group
+  // whose partials a multi-slice run unioned holds the same set as the
+  // one-slice run's, in differently sized vectors. The running sum over
+  // the canonical order is therefore a pure function of the (bit-identical)
+  // group stream, and so is the cut: it cannot depend on
+  // thread/shard/worker count. A trip refuses the tripping group and
+  // everything after it, but deliberately does not touch the shared cancel
+  // token — whether some *other* CFS had already been admitted when this
+  // one tripped is timing-dependent, so a budget trip must stay local to
+  // this CFS for the committed prefix to be config-independent (Spade's
+  // commit rule cuts at the first truncated CFS in cfs_id order).
+  Timer emit_wall;
+  std::vector<size_t> admitted(num_nodes, 0);  // leading groups per node
+  for (uint32_t mask = 0; mask < num_nodes; ++mask) {
+    const NodeGroups<BitmapCell>& list = groups[mask];
+    size_t limit = stats.budget_truncated ? 0 : list.size();
+    for (size_t g = 0; g < list.size(); ++g) {
+      stats.bitmap_bytes_peak += list[g].second.facts.CanonicalBytes();
+      if (!stats.budget_truncated && options.max_bitmap_bytes > 0 &&
+          budget_bytes_used + stats.bitmap_bytes_peak >
+              options.max_bitmap_bytes) {
+        stats.budget_truncated = true;
+        limit = g;
       }
     }
-    for (const NodeMda& mda : mdas) {
-      const MeasureSpec& m = spec.measures[mda.measure_index];
-      double value = 0;
-      if (m.is_count_star()) {
-        value = count_star;
-      } else {
-        const simd::FoldResult& acc = fold_results[mda.fold_slot];
-        if (acc.count == 0) continue;  // no fact in the group has the measure
-        switch (m.func) {
-          case sparql::AggFunc::kCount:
-            value = acc.count;
-            break;
-          case sparql::AggFunc::kSum:
-            value = acc.sum;
-            break;
-          case sparql::AggFunc::kAvg:
-            value = acc.sum / acc.count;
-            break;
-          case sparql::AggFunc::kMin:
-            value = acc.min;
-            break;
-          case sparql::AggFunc::kMax:
-            value = acc.max;
-            break;
+    admitted[mask] = limit;
+    stats.num_groups_skipped += (list.size() - limit) * node_mdas[mask].size();
+  }
+  const double prepass_ms = emit_wall.ElapsedMillis();
+
+  // --- Emit: one task per (node, measure column), count(*) its own column.
+  // Each task owns the ARM entries of its column's MDAs at its node and
+  // walks the node's admitted groups in list order, so every entry sees
+  // exactly the serial emit's group sequence. Tasks read the lists in place
+  // and count in task-local slots.
+  struct EmitTask {
+    uint32_t mask;
+    int fold_slot;  ///< -1 = count(*)
+    std::vector<NodeMda> mdas;
+  };
+  // Root first: the node with every dim holds the most groups, and its
+  // tasks must not be the ones left running alone at the end. Any order
+  // gives the same ARM contents.
+  std::vector<EmitTask> tasks;
+  for (uint32_t mask = static_cast<uint32_t>(num_nodes); mask-- > 0;) {
+    if (admitted[mask] == 0) continue;
+    const int num_slots = static_cast<int>(node_slots[mask].size());
+    for (int slot = -1; slot < num_slots; ++slot) {
+      EmitTask task{mask, slot, {}};
+      for (const NodeMda& mda : node_mdas[mask]) {
+        if (mda.fold_slot == slot) task.mdas.push_back(mda);
+      }
+      if (!task.mdas.empty()) tasks.push_back(std::move(task));
+    }
+  }
+  const CubeLayout& layout = mmst->layout();
+  std::vector<size_t> task_groups(tasks.size(), 0);
+  std::vector<double> task_ms(tasks.size(), 0.0);
+  auto run_task = [&](size_t t) {
+    Timer task_timer;
+    const EmitTask& task = tasks[t];
+    const NodeGroups<BitmapCell>& list = groups[task.mask];
+    const MeasureVector* mv =
+        task.fold_slot < 0 ? nullptr : node_slots[task.mask][task.fold_slot];
+    std::vector<int32_t> coords(n);
+    std::vector<TermId> dim_values;
+    dim_values.reserve(n);
+    std::vector<uint32_t> fact_span;  ///< full-cell decode buffer, reused
+    simd::FoldAcc fold_acc;
+    size_t emitted = 0;
+    for (size_t g = 0; g < admitted[task.mask]; ++g) {
+      // A deadline read per group would cost a clock read each; every
+      // 1024th is prompt enough for a run whose output is then discarded.
+      if (g % 1024 == 0 && cancel != nullptr && cancel->AbortNow()) break;
+      const auto& [cell_id, cell] = list[g];
+      UnpackCellMaskedInto(layout, task.mask, cell_id, coords.data());
+      dim_values.clear();
+      for (size_t d = 0; d < n; ++d) {
+        if (task.mask & (1u << d)) {
+          dim_values.push_back(encodings[d].values[coords[d]]);
         }
       }
-      arm->AddGroup(mda.handle, dim_values, value);
-      ++stats.num_groups_emitted;
+      if (mv == nullptr) {
+        const double count = static_cast<double>(cell.facts.Cardinality());
+        for (const NodeMda& mda : task.mdas) {
+          arm->AddGroup(mda.handle, dim_values, count);
+        }
+        emitted += task.mdas.size();
+        continue;
+      }
+      // One full-cell decode feeds this column's kernel call (the ⊗ of
+      // Figure 5, Section 4.3's intersect-and-fold). The span is the
+      // group's sorted fact-id set — a pure function of the group,
+      // independent of how the bitmap was assembled — and the kernel's lane
+      // order is fixed, so the folded values are bit-identical at every
+      // thread/shard/worker/kernel configuration.
+      cell.facts.DecodeInto(&fact_span);
+      fold_acc.Reset();
+      fold_kernel.fn(fact_span.data(), fact_span.size(), mv->count.data(),
+                     mv->sum.data(), mv->min.data(), mv->max.data(), &fold_acc);
+      const simd::FoldResult acc = simd::Reduce(fold_acc);
+      if (acc.count == 0) continue;  // no fact in the group has the measure
+      for (const NodeMda& mda : task.mdas) {
+        arm->AddGroup(mda.handle, dim_values,
+                      FoldedValue(spec.measures[mda.measure_index].func, acc));
+      }
+      emitted += task.mdas.size();
     }
+    task_groups[t] = emitted;
+    task_ms[t] = task_timer.ElapsedMillis();
   };
-  ParallelLatticeRun<BitmapCell>(*mmst, *translation, &wanted, lattice_workers,
-                                 scheduler, load, merge, keep, emit,
-                                 &stats.lattice, cancel);
+  if (scheduler != nullptr && tasks.size() > 1) {
+    scheduler->ParallelFor(tasks.size(), run_task, cancel);
+  } else {
+    for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
+  }
+  double emit_work_ms = prepass_ms;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    stats.num_groups_emitted += task_groups[t];
+    emit_work_ms += task_ms[t];
+  }
+  stats.lattice.wall_ms += emit_wall.ElapsedMillis();
+  stats.lattice.work_ms += emit_work_ms;
   stats.compute_ms = timer.ElapsedMillis();
   return stats;
 }

@@ -41,7 +41,8 @@ struct MvdCubeOptions {
   /// the differential tests, the CI dispatch-independence job, and benches.
   simd::SimdMode simd = simd::SimdMode::kAuto;
   /// Resident-bitmap budget for one CFS, in bytes; 0 = unlimited. Checked in
-  /// the canonical emit against the running bitmap_bytes_peak sum (plus
+  /// the emit's serial canonical pre-pass against the running
+  /// bitmap_bytes_peak sum (plus
   /// `budget_bytes_used` carried in from earlier lattices of the CFS): the
   /// group that would push the sum past the budget is not admitted, and no
   /// later group of the CFS is either. The cut point is a pure function of
@@ -62,13 +63,14 @@ struct MvdCubeStats {
   double translate_ms = 0;
   double measure_load_ms = 0;
   double compute_ms = 0;
-  /// Summed RoaringBitmap::MemoryBytes() of every emitted group cell. The
-  /// canonical emit walks the merged partials, which all coexist at that
-  /// point, so this is a measured lower bound on the lattice's peak
+  /// Summed RoaringBitmap::CanonicalBytes() of every collected group cell.
+  /// The emit's canonical pre-pass walks the merged partials, which all
+  /// coexist at that point, so this is a lower bound on the lattice's peak
   /// resident bitmap footprint (Section 4.3 memory accounting) — cells
-  /// filtered before emit (null-coordinate groups, unconsumed nodes) and
-  /// not-yet-folded duplicate slice partials are resident too but not
-  /// counted.
+  /// filtered before emit (null-coordinate groups, unconsumed nodes),
+  /// not-yet-folded duplicate slice partials and vector slack are resident
+  /// too but not counted. It depends only on the groups' fact sets, so it
+  /// is the same at every thread/shard/worker count.
   uint64_t bitmap_bytes_peak = 0;
   /// True when the bitmap budget tripped during this lattice's emit; the
   /// groups after the cut are counted in num_groups_skipped, not emitted.
@@ -102,10 +104,13 @@ struct MvdCubeStats {
 /// Lattice computation runs the partition-parallel protocol
 /// (ParallelLatticeRun) at every configuration: `lattice_workers` contiguous
 /// partition slices evaluated concurrently on `scheduler` (one slice,
-/// inline, by default), partial fact bitmaps merged by union and groups
-/// emitted in canonical order. The ARM stream — order included — is
-/// identical at every worker count, so `lattice_workers` and `scheduler`
-/// only change wall-clock.
+/// inline, by default), partial fact bitmaps merged by union into per-node
+/// group lists in canonical order. One serial pass over the lists does the
+/// byte accounting and the budget cut; the decode, fold and ARM feed then
+/// run as one `scheduler` task per (node, measure column), each walking its
+/// node's list in order. Every ARM entry belongs to one task and sees its
+/// groups in canonical order, so the ARM contents are identical at every
+/// worker count: `lattice_workers` and `scheduler` only change wall-clock.
 MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
                                 const CfsIndex& cfs, const LatticeSpec& spec,
                                 const MvdCubeOptions& options, Arm* arm,

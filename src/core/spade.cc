@@ -227,8 +227,8 @@ Spade::CfsRunState Spade::RunOnlineCfs(uint32_t cfs_id, size_t num_shards,
 
   // Step 2: Online Attribute Analysis.
   Timer step;
-  CfsAnalysis analysis =
-      AnalyzeAttributes(*db_, index, offline_stats_, opts.enumeration);
+  CfsAnalysis analysis = AnalyzeAttributes(*db_, index, offline_stats_,
+                                           opts.enumeration, scheduler);
   report->timings.attribute_analysis_ms += step.ElapsedMillis();
   step.Restart();
 

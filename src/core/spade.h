@@ -86,9 +86,10 @@ struct SpadeOptions {
   double deadline_ms = 0;
   /// Resident fact-bitmap budget per CFS, in bytes; 0 = unlimited. Enforced
   /// against the same accounting as SpadeReport::peak_bitmap_bytes (which
-  /// is a per-CFS maximum): a CFS whose canonical emit would exceed the
-  /// budget stops admitting groups at a deterministic, config-independent
-  /// cut and the run reports truncation (reason "budget").
+  /// is a per-CFS maximum): a CFS whose canonical group stream would
+  /// exceed the budget stops admitting groups at a deterministic,
+  /// config-independent cut and the run reports truncation (reason
+  /// "budget").
   uint64_t max_bitmap_bytes = 0;
   /// External cancellation for RunOnline(); null = none. Cancel() from any
   /// thread makes the run stop cooperatively, same truncation contract as
@@ -185,9 +186,10 @@ struct SpadeReport {
   double lattice_wall_ms = 0;
   double lattice_work_ms = 0;
   uint64_t lattice_peak_partial_cells = 0;
-  /// Fact-bitmap bytes of the largest lattice evaluation's emitted group
-  /// cells (max over CFSs; the Section 4.3 memory model, measured — a
-  /// lower bound on the true resident peak).
+  /// Fact-bitmap bytes of the largest lattice evaluation's collected group
+  /// cells (max over CFSs; the Section 4.3 memory model over the cells'
+  /// fact sets — a lower bound on the true resident peak, the same at
+  /// every thread/shard count).
   uint64_t peak_bitmap_bytes = 0;
   /// Streaming-ingest profile (chunk counts, parse/overlap times).
   /// num_chunks == 0 marks a sequential offline phase; on the

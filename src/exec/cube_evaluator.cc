@@ -213,8 +213,8 @@ class ArrayCubeEvaluator : public CubeEvaluator {
         continue;
       }
       ++stats->num_mdas_evaluated;
-      for (GroupResult& group : result.groups) {
-        arm->AddGroup(handle, std::move(group.dim_values), group.value);
+      for (const GroupResult& group : result.groups) {
+        arm->AddGroup(handle, group.dim_values, group.value);
         ++stats->num_groups_emitted;
       }
     }

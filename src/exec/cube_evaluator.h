@@ -82,10 +82,11 @@ struct EvalStats {
   double lattice_wall_ms = 0;
   double lattice_work_ms = 0;
   uint64_t lattice_peak_partial_cells = 0;
-  /// Fact-bitmap bytes of the largest single lattice evaluation's emitted
+  /// Fact-bitmap bytes of the largest single lattice evaluation's collected
   /// group cells (MVDCube path; zero elsewhere) — the Section 4.3 memory
-  /// model measured on live cells rather than bounded by formula. A lower
-  /// bound on the true resident peak (see MvdCubeStats::bitmap_bytes_peak).
+  /// model taken from the live cells' fact sets rather than bounded by
+  /// formula. A lower bound on the true resident peak, the same at every
+  /// configuration (see MvdCubeStats::bitmap_bytes_peak).
   uint64_t peak_bitmap_bytes = 0;
   /// The bitmap budget (MvdCubeOptions::max_bitmap_bytes) tripped while
   /// evaluating this CFS: the emitted groups are a canonical-order prefix

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <limits>
-#include <set>
+#include <vector>
 
 #include "src/util/string_util.h"
 
@@ -29,6 +29,18 @@ const char* ValueKindName(ValueKind kind) {
   return "?";
 }
 
+namespace {
+
+/// Number of distinct ids among `values` (sorted in place) — one sort and
+/// one linear unique pass, no per-value node allocation.
+size_t CountDistinct(std::vector<TermId>* values) {
+  std::sort(values->begin(), values->end());
+  return static_cast<size_t>(std::unique(values->begin(), values->end()) -
+                             values->begin());
+}
+
+}  // namespace
+
 bool LooksLikeDate(const std::string& s) {
   if (s.size() != 10 || s[4] != '-' || s[7] != '-') return false;
   for (size_t i : {0u, 1u, 2u, 3u, 5u, 6u, 8u, 9u}) {
@@ -45,7 +57,6 @@ AttrStats ComputeAttrStats(const AttributeStore& db, AttrId attr) {
   st.num_values = table.num_rows();
   if (table.empty()) return st;
 
-  std::set<TermId> distinct;
   size_t num_int = 0, num_dec = 0, num_date = 0, num_text = 0, num_ref = 0;
   double total_len = 0;
   st.min_value = std::numeric_limits<double>::infinity();
@@ -58,7 +69,6 @@ AttrStats ComputeAttrStats(const AttributeStore& db, AttrId attr) {
     if (table.values(i).size() >= 2) ++st.num_multi_subjects;
   }
   for (TermId o : table.objects()) {
-    distinct.insert(o);
     const Term& term = dict.Get(o);
     if (term.kind != TermKind::kLiteral) {
       ++num_ref;
@@ -81,7 +91,8 @@ AttrStats ComputeAttrStats(const AttributeStore& db, AttrId attr) {
       total_len += static_cast<double>(term.lexical.size());
     }
   }
-  st.num_distinct_values = distinct.size();
+  std::vector<TermId> values(table.objects().begin(), table.objects().end());
+  st.num_distinct_values = CountDistinct(&values);
   if (num_text > 0) st.avg_text_length = total_len / static_cast<double>(num_text);
 
   // Classify: a kind must cover >= 95% of the values, otherwise kMixed.
@@ -113,17 +124,17 @@ OnlineAttrStats ComputeOnlineStats(const AttributeStore& db, const CfsIndex& cfs
                                    AttrId attr) {
   const AttributeTable& table = db.attribute(attr);
   OnlineAttrStats st;
-  std::set<TermId> distinct;
+  std::vector<TermId> values;
 
   // Each CFS member that is a subject contributes its whole value slice.
   ForEachCfsMatch(table, cfs.members(), [&](size_t /*mi*/, size_t si) {
     Span<TermId> vals = table.values(si);
     ++st.support;
     if (vals.size() >= 2) ++st.num_multi_facts;
-    st.num_values += vals.size();
-    for (TermId o : vals) distinct.insert(o);
+    values.insert(values.end(), vals.begin(), vals.end());
   });
-  st.num_distinct_values = distinct.size();
+  st.num_values = values.size();
+  st.num_distinct_values = CountDistinct(&values);
   return st;
 }
 

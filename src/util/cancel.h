@@ -95,7 +95,7 @@ class Deadline {
 ///    in-flight sibling work: the already-admitted fact sets drain to
 ///    completion, so the committed prefix is identical at every
 ///    thread/shard count (the trip point itself is computed in the
-///    single-threaded canonical emit over bit-identical cells).
+///    emit's serial canonical pre-pass over bit-identical cells).
 ///
 /// A default-constructed CancelCheck never fires; passing nullptr for the
 /// token with a Never deadline likewise costs a couple of predictable

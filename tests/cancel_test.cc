@@ -147,14 +147,18 @@ TEST(CancelTest, PreCancelledTokenYieldsEmptyTruncatedResult) {
 
 TEST(CancelTest, BudgetTruncationIsIdenticalAtEveryThreadAndShardCount) {
   // A per-CFS bitmap budget trips at a cut that is a pure function of the
-  // canonical group stream, and the commit rule absorbs full CFSs in cfs_id
-  // order up to the first truncated one — so the whole truncated result is
-  // bit-identical across configurations.
+  // canonical group stream (the emit's serial pre-pass computes it, ahead
+  // of the per-(node, column) fan-out), and the commit rule absorbs full
+  // CFSs in cfs_id order up to the first truncated one — so the whole
+  // truncated result, its byte accounting included, is bit-identical
+  // across configurations.
   std::vector<std::pair<AggregateKey, double>> reference;
   size_t reference_completed = 0;
   size_t reference_skipped = 0;
+  size_t reference_emitted = 0;
+  uint64_t reference_peak = 0;
   bool first = true;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     for (size_t shards : {size_t{1}, size_t{4}}) {
       auto graph = GenerateSynthetic(MediumCorpus());
       SpadeOptions options = BaseOptions();
@@ -173,6 +177,8 @@ TEST(CancelTest, BudgetTruncationIsIdenticalAtEveryThreadAndShardCount) {
         reference = Fingerprint(*insights);
         reference_completed = report.num_cfs_completed;
         reference_skipped = report.num_groups_skipped;
+        reference_emitted = report.num_groups_emitted;
+        reference_peak = report.peak_bitmap_bytes;
         first = false;
         continue;
       }
@@ -180,6 +186,8 @@ TEST(CancelTest, BudgetTruncationIsIdenticalAtEveryThreadAndShardCount) {
           << threads << " threads, " << shards << " shards";
       EXPECT_EQ(report.num_cfs_completed, reference_completed);
       EXPECT_EQ(report.num_groups_skipped, reference_skipped);
+      EXPECT_EQ(report.num_groups_emitted, reference_emitted);
+      EXPECT_EQ(report.peak_bitmap_bytes, reference_peak);
     }
   }
 }

@@ -462,12 +462,14 @@ TEST(LatticeParallelPipelineTest, LatticeStatsReported) {
 // --- ARM stream vs bitmap-free reference -----------------------------------
 
 // The bitmap engine must be invisible in the results: the exact sequence of
-// (key, group, value) tuples MVDCube streams into the ARM has to match an
+// (group, value) tuples MVDCube streams into each ARM entry has to match an
 // implementation that never touches RoaringBitmap — std::set cells run
 // through the same canonical ParallelLatticeRun protocol and the same
-// measure fold. This pins the ARM stream across bitmap-layer rewrites
-// (ordered append, run containers, inline sets, batched decode), at every
-// lattice worker count.
+// measure fold, fed into the ARM by one serial walk of the canonical
+// lists. This pins the ARM stream across bitmap-layer rewrites (ordered
+// append, run containers, inline sets, batched decode) and across the
+// engine's per-(node, measure column) emit fan-out, at every lattice worker
+// count.
 
 struct SetRefCell {
   std::set<uint32_t> facts;
@@ -517,7 +519,7 @@ void EvaluateLatticeWithSetCells(const AttributeStore& db, uint32_t cfs_id,
   };
   using Acc = simd::FoldResult;
   std::vector<TermId> dim_values;
-  auto emit = [&](uint32_t mask, Span<int32_t> coords, SetRefCell& cell) {
+  auto emit = [&](uint32_t mask, Span<int32_t> coords, const SetRefCell& cell) {
     dim_values.clear();
     for (size_t d = 0; d < n; ++d) {
       if (!(mask & (1u << d))) continue;
@@ -569,9 +571,17 @@ void EvaluateLatticeWithSetCells(const AttributeStore& db, uint32_t cfs_id,
     }
   };
   std::vector<bool> wanted(num_nodes, true);
-  ParallelLatticeRun<SetRefCell>(mmst, tr, &wanted, /*num_workers=*/1,
-                                 /*scheduler=*/nullptr, load, merge, keep,
-                                 emit, nullptr);
+  std::vector<NodeGroups<SetRefCell>> lists = ParallelLatticeRun<SetRefCell>(
+      mmst, tr, &wanted, /*num_workers=*/1, /*scheduler=*/nullptr, load, merge,
+      keep);
+  // One serial walk in canonical order: node mask ascending, list order.
+  std::vector<int32_t> coords(n);
+  for (uint32_t mask = 0; mask < num_nodes; ++mask) {
+    for (const auto& [cell_id, cell] : lists[mask]) {
+      UnpackCellMaskedInto(mmst.layout(), mask, cell_id, coords.data());
+      emit(mask, Span<int32_t>(coords.data(), n), cell);
+    }
+  }
 }
 
 void ExpectSameArmStream(const Arm& expected, const Arm& got) {

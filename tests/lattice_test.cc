@@ -490,19 +490,21 @@ TEST(ParallelLatticeTest, BitmapGroupsMatchSequentialScaffoldAtEveryWorkerCount)
     GroupSets got;
     std::vector<std::pair<uint32_t, uint64_t>> emit_order;
     ParallelLatticeStats stats;
-    ParallelLatticeRun<TestBitmapCell>(
-        mmst, tr, /*wanted=*/nullptr, workers, &scheduler,
-        [](TestBitmapCell* c, FactId f) { c->facts.Add(f); },
-        [](TestBitmapCell* dst, const TestBitmapCell& src) {
-          dst->facts.UnionWith(src.facts);
-        },
-        [](uint32_t, Span<int32_t>) { return true; },
-        [&](uint32_t mask, Span<int32_t> coords, TestBitmapCell& cell) {
-          uint64_t id = PackCellMasked(mmst.layout(), mask, coords);
-          emit_order.push_back({mask, id});
-          got[{mask, id}] = cell.facts.ToVector();
-        },
-        &stats);
+    std::vector<NodeGroups<TestBitmapCell>> lists =
+        ParallelLatticeRun<TestBitmapCell>(
+            mmst, tr, /*wanted=*/nullptr, workers, &scheduler,
+            [](TestBitmapCell* c, FactId f) { c->facts.Add(f); },
+            [](TestBitmapCell* dst, const TestBitmapCell& src) {
+              dst->facts.UnionWith(src.facts);
+            },
+            [](uint32_t, Span<int32_t>) { return true; }, &stats);
+    ASSERT_EQ(lists.size(), mmst.nodes().size());
+    for (uint32_t mask = 0; mask < lists.size(); ++mask) {
+      for (const auto& [id, cell] : lists[mask]) {
+        emit_order.push_back({mask, id});
+        got[{mask, id}] = cell.facts.ToVector();
+      }
+    }
     // The fact sets of every group equal the sequential scaffold's exactly —
     // bitmap-union merge is exact set semantics, independent of slicing.
     EXPECT_EQ(got, expected);
@@ -541,13 +543,12 @@ TEST(ParallelLatticeTest, AccumulatorCellsMatchSequentialScaffold) {
     ThreadPool pool(2);
     TaskScheduler scheduler(&pool);
     std::map<std::pair<uint32_t, uint64_t>, double> got;
-    ParallelLatticeRun<TestSumCell>(
+    auto lists = ParallelLatticeRun<TestSumCell>(
         mmst, tr, nullptr, workers, &scheduler, load, merge,
-        [](uint32_t, Span<int32_t>) { return true; },
-        [&](uint32_t mask, Span<int32_t> coords, TestSumCell& cell) {
-          got[{mask, PackCellMasked(mmst.layout(), mask, coords)}] = cell.sum;
-        },
-        nullptr);
+        [](uint32_t, Span<int32_t>) { return true; });
+    for (uint32_t mask = 0; mask < lists.size(); ++mask) {
+      for (const auto& [id, cell] : lists[mask]) got[{mask, id}] = cell.sum;
+    }
     EXPECT_EQ(got, expected);
   }
 }
@@ -564,20 +565,23 @@ TEST(ParallelLatticeTest, KeepFilterAndWantedNodesRestrictCollection) {
   std::map<uint64_t, uint64_t> counts;  // code of dim0 -> count
   ThreadPool pool(2);
   TaskScheduler scheduler(&pool);
-  ParallelLatticeRun<TestSumCell>(
+  auto lists = ParallelLatticeRun<TestSumCell>(
       mmst, tr, &wanted, 4, &scheduler,
       [](TestSumCell* c, FactId) { c->sum += 1; },
       [](TestSumCell* dst, const TestSumCell& src) { dst->sum += src.sum; },
       [&](uint32_t mask, Span<int32_t> coords) {
         return mask == 1u && coords[0] < encs[0].null_code();
-      },
-      [&](uint32_t mask, Span<int32_t> coords, TestSumCell& cell) {
-        ASSERT_EQ(mask, 1u);
-        ASSERT_LT(coords[0], encs[0].null_code());
-        counts[static_cast<uint64_t>(coords[0])] =
-            static_cast<uint64_t>(cell.sum);
-      },
-      nullptr);
+      });
+  std::vector<int32_t> coords(2);
+  for (uint32_t mask = 0; mask < lists.size(); ++mask) {
+    for (const auto& [id, cell] : lists[mask]) {
+      ASSERT_EQ(mask, 1u);
+      UnpackCellMaskedInto(mmst.layout(), mask, id, coords.data());
+      ASSERT_LT(coords[0], encs[0].null_code());
+      counts[static_cast<uint64_t>(coords[0])] =
+          static_cast<uint64_t>(cell.sum);
+    }
+  }
 
   // Against a direct count over the translation: per dim0 code, the number
   // of (cell, fact) pairs carrying it (the scaffold's per-cell count load).

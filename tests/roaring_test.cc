@@ -411,6 +411,60 @@ TEST(RoaringAppendTest, ContiguousAppendUsesRunsNotBitsets) {
   EXPECT_EQ(out.back(), 59999u);
 }
 
+TEST(RoaringTest, CanonicalBytesDependOnlyOnTheSet) {
+  // The same sets built three ways — one ordered append, a union of
+  // interleaved partials (how a multi-slice lattice run assembles a group),
+  // random-order adds — land in different vector capacities and sometimes
+  // different container kinds, so MemoryBytes() may differ; CanonicalBytes()
+  // may not, and never exceeds what is allocated.
+  Rng rng(11);
+  for (int shape = 0; shape < 4; ++shape) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    std::vector<uint32_t> values;
+    for (uint32_t v = 0; v < 200000; ++v) {
+      bool keep = false;
+      switch (shape) {
+        case 0: keep = v < 5; break;                        // inline
+        case 1: keep = rng.Bernoulli(0.01); break;          // sparse arrays
+        case 2: keep = (v / 700) % 3 != 0; break;           // long runs
+        case 3: keep = rng.Bernoulli(0.6); break;           // bitsets
+      }
+      if (keep) values.push_back(v);
+    }
+    RoaringBitmap appended;
+    for (uint32_t v : values) appended.AppendOrdered(v);
+    RoaringBitmap unioned;
+    for (uint32_t part = 0; part < 3; ++part) {
+      RoaringBitmap partial;
+      for (uint32_t v : values) {
+        if ((v / 1000) % 3 == part) partial.AppendOrdered(v);
+      }
+      unioned.UnionWith(partial);
+    }
+    std::vector<uint32_t> shuffled = values;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+    }
+    RoaringBitmap added;
+    for (uint32_t v : shuffled) added.Add(v);
+
+    ASSERT_TRUE(appended == unioned);
+    ASSERT_TRUE(appended == added);
+    EXPECT_EQ(unioned.CanonicalBytes(), appended.CanonicalBytes());
+    EXPECT_EQ(added.CanonicalBytes(), appended.CanonicalBytes());
+    for (const RoaringBitmap* bm : {&appended, &unioned, &added}) {
+      EXPECT_LE(bm->CanonicalBytes(), bm->MemoryBytes());
+    }
+    if (shape == 0) {
+      EXPECT_EQ(appended.CanonicalBytes(), sizeof(RoaringBitmap));
+    }
+  }
+  // One 60000-value run costs a few bytes, not 2 B/value or 8 KiB.
+  RoaringBitmap run;
+  for (uint32_t v = 0; v < 60000; ++v) run.AppendOrdered(v);
+  EXPECT_LT(run.CanonicalBytes(), sizeof(RoaringBitmap) + 256);
+}
+
 // ---- Run containers: conversion in both directions ----
 
 TEST(RoaringRunTest, ArrayConvertsToRunAtThresholdWhenContiguous) {

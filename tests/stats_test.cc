@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/enumeration.h"
+#include "src/datagen/synthetic.h"
+#include "src/exec/thread_pool.h"
+
 namespace spade {
 namespace {
 
@@ -129,6 +133,63 @@ TEST_F(StatsTest, OnlineStatsZeroSupport) {
   OnlineAttrStats st = ComputeOnlineStats(db(), cfs, a);
   EXPECT_EQ(st.support, 0u);
   EXPECT_DOUBLE_EQ(st.SupportRatio(0), 0.0);
+}
+
+TEST(AnalyzeAttributesTest, SchedulerMatchesSerialFieldByField) {
+  // Multi-valued dimensions, missing values, few distinct values shared by
+  // many facts, and a second fact type whose facts fall outside the CFS.
+  SyntheticOptions sopts;
+  sopts.num_facts = 4000;
+  sopts.dim_cardinality = {30, 6, 200};
+  sopts.num_measures = 2;
+  sopts.multi_valued_dims = {0, 2};
+  sopts.multi_value_prob = 0.4;
+  sopts.missing_prob = 0.2;
+  sopts.num_fact_types = 2;
+  auto graph = GenerateSynthetic(sopts);
+  AttributeStore db(graph.get());
+  db.BuildDirectAttributes();
+  std::vector<AttrStats> offline;
+  for (AttrId a = 0; a < db.num_attributes(); ++a) {
+    offline.push_back(ComputeAttrStats(db, a));
+  }
+  CfsIndex cfs(graph->NodesOfType(graph->dict().InternIri(synth::kFactType)));
+  EnumerationOptions options;
+  options.max_distinct_values = 100;  // dim2 is too fine to be a dimension
+
+  const CfsAnalysis serial = AnalyzeAttributes(db, cfs, offline, options);
+  ASSERT_GT(serial.attrs.size(), 4u);
+  bool saw_multi = false, saw_missing = false, saw_dim = false,
+       saw_measure = false, saw_rejected_dim = false;
+  for (const AnalyzedAttribute& a : serial.attrs) {
+    saw_multi |= a.online.num_multi_facts > 0;
+    saw_missing |= a.online.support > 0 && a.online.support < cfs.size();
+    saw_dim |= a.good_dimension;
+    saw_measure |= a.good_measure;
+    saw_rejected_dim |= !a.good_dimension && a.online.num_distinct_values > 100;
+  }
+  EXPECT_TRUE(saw_multi && saw_missing && saw_dim && saw_measure &&
+              saw_rejected_dim);
+
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    std::unique_ptr<ThreadPool> pool = MakeWorkerPool(threads);
+    TaskScheduler scheduler(pool.get());
+    const CfsAnalysis got =
+        AnalyzeAttributes(db, cfs, offline, options, &scheduler);
+    ASSERT_EQ(got.attrs.size(), serial.attrs.size());
+    for (size_t i = 0; i < got.attrs.size(); ++i) {
+      const AnalyzedAttribute& e = serial.attrs[i];
+      const AnalyzedAttribute& g = got.attrs[i];
+      EXPECT_EQ(g.attr, e.attr);  // attribute order
+      EXPECT_EQ(g.online.support, e.online.support);
+      EXPECT_EQ(g.online.num_values, e.online.num_values);
+      EXPECT_EQ(g.online.num_distinct_values, e.online.num_distinct_values);
+      EXPECT_EQ(g.online.num_multi_facts, e.online.num_multi_facts);
+      EXPECT_EQ(g.good_dimension, e.good_dimension);
+      EXPECT_EQ(g.good_measure, e.good_measure);
+    }
+  }
 }
 
 TEST(LooksLikeDateTest, Various) {
