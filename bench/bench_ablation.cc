@@ -184,7 +184,9 @@ void MeasureSharingAblation() {
     Arm arm(4);
     MeasureCache shared;
     for (const auto& spec : lattices) {
-      EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions(), &arm, &shared);
+      std::vector<PreparedLattice> prepared =
+          PrepareLattices(db, cfs, {spec}, MvdCubeOptions(), &shared);
+      EvaluateLatticeMvd(0, spec, prepared[0], shared, MvdCubeOptions(), &arm);
     }
   }
   double shared_ms = shared_timer.ElapsedMillis();
@@ -193,7 +195,9 @@ void MeasureSharingAblation() {
     Arm arm(4);
     for (const auto& spec : lattices) {
       MeasureCache fresh;  // PGCube-style re-join per lattice
-      EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions(), &arm, &fresh);
+      std::vector<PreparedLattice> prepared =
+          PrepareLattices(db, cfs, {spec}, MvdCubeOptions(), &fresh);
+      EvaluateLatticeMvd(0, spec, prepared[0], fresh, MvdCubeOptions(), &arm);
     }
   }
   double unshared_ms = unshared_timer.ElapsedMillis();

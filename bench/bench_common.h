@@ -19,7 +19,8 @@ namespace bench {
 /// Generation scale per dataset. CEOs / NASA / Nobel / Foodista are generated
 /// at their natural size; the two large graphs (DBLP 33M, Airline 56M
 /// triples in the paper) are scaled down to laptop size — documented in
-/// EXPERIMENTS.md, and each bench prints the measured triple counts.
+/// bench/README.md ("Datasets and scales"), and each bench prints the
+/// measured triple counts.
 inline double DatasetScale(RealDataset ds) {
   switch (ds) {
     case RealDataset::kDblp:

@@ -95,7 +95,7 @@ void VaryDims() {
 int main(int argc, char** argv) {
   std::cout << "== Figure 12: scalability in facts / measures / dimensions "
                "==\n(scaled 10x down from the paper's hardware; see "
-               "EXPERIMENTS.md)\n\n";
+               "bench/README.md, \"Datasets and scales\")\n\n";
   const char* vary = argc > 1 ? argv[1] : "";
   bool all = std::strlen(vary) == 0;
   if (all || std::strstr(vary, "facts")) spade::bench::VaryFacts();

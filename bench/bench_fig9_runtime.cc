@@ -25,10 +25,13 @@ Times Run(const Prepared& prep) {
     for (uint32_t cfs_id = 0; cfs_id < prep.fact_sets.size(); ++cfs_id) {
       CfsIndex index(prep.fact_sets[cfs_id].members);
       MeasureCache cache;
-      for (const auto& spec : prep.lattices[cfs_id]) {
+      const std::vector<LatticeSpec>& lattices = prep.lattices[cfs_id];
+      std::vector<PreparedLattice> prepared = PrepareLattices(
+          prep.spade->store(), index, lattices, MvdCubeOptions(), &cache);
+      for (size_t li = 0; li < lattices.size(); ++li) {
         MvdCubeStats stats =
-            EvaluateLatticeMvd(prep.spade->store(), cfs_id, index, spec,
-                               MvdCubeOptions(), &arm, &cache);
+            EvaluateLatticeMvd(cfs_id, lattices[li], prepared[li], cache,
+                               MvdCubeOptions(), &arm);
         t.num_mdas += stats.num_mdas_evaluated;
       }
     }

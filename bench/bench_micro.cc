@@ -109,8 +109,10 @@ void BM_MvdCubeLattice(benchmark::State& state) {
   for (auto _ : state) {
     Arm arm(4);
     MeasureCache cache;
-    EvaluateLatticeMvd(*data.db, 0, *data.cfs, data.spec, MvdCubeOptions(),
-                       &arm, &cache);
+    std::vector<PreparedLattice> prepared = PrepareLattices(
+        *data.db, *data.cfs, {data.spec}, MvdCubeOptions(), &cache);
+    EvaluateLatticeMvd(0, data.spec, prepared[0], cache, MvdCubeOptions(),
+                       &arm);
     benchmark::DoNotOptimize(arm.num_aggregates());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

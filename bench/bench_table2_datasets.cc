@@ -36,7 +36,8 @@ Profile Run(RealDataset ds, bool derivations) {
 
 void Main() {
   std::cout << "== Table 2: real datasets used for testing ==\n"
-            << "(simulated graphs; DBLP/Airline scaled — see EXPERIMENTS.md)\n\n";
+            << "(simulated graphs; DBLP/Airline scaled — see "
+               "bench/README.md, \"Datasets and scales\")\n\n";
   TablePrinter table({"Dataset", "#triples", "#CFSs", "#P", "#A_woD", "#DP kw",
                       "#DP lang", "#DP count", "#DP path", "#A_wD"});
   for (RealDataset ds : AllRealDatasets()) {

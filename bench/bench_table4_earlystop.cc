@@ -7,14 +7,14 @@
 // mostly-100% accuracy, with occasional misses on graphs whose score
 // distribution is flat near the threshold (Nobel in the paper).
 //
-// Substrate note (see EXPERIMENTS.md): the paper evaluates aggregates via
-// PostgreSQL, so skipping an aggregate saves milliseconds; our in-memory
-// MVDCube evaluates so fast that sampling overhead only amortizes once
-// groups are much larger than the sample (the planner applies exactly that
-// rule). Datasets are therefore scaled up (x4) relative to the other
-// benches; graphs whose groups stay smaller than the sample (CEOs-like
-// shapes) legitimately show negative gains here, as Foodista does in the
-// paper's own Table 4.
+// Substrate note (see bench/README.md, "Datasets and scales"): the paper
+// evaluates aggregates via PostgreSQL, so skipping an aggregate saves
+// milliseconds; our in-memory MVDCube evaluates so fast that sampling
+// overhead only amortizes once groups are much larger than the sample (the
+// planner applies exactly that rule). Datasets are therefore scaled up (x4)
+// relative to the other benches; graphs whose groups stay smaller than the
+// sample (CEOs-like shapes) legitimately show negative gains here, as
+// Foodista does in the paper's own Table 4.
 
 #include <set>
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "src/core/mfs.h"
 
@@ -74,21 +76,23 @@ std::vector<LatticeSpec> EnumerateLattices(const AttributeStore& db,
   std::map<AttrId, size_t> support;
   for (const auto& a : analysis.attrs) support[a.attr] = a.online.support;
 
-  // Transactions: the candidate-dimension attributes of each fact.
+  // Transactions are the facts, items the candidate dimensions. The scan
+  // matches each member at most once, in ascending fact order, so it yields
+  // every dimension's tidset directly.
   size_t n = cfs.size();
-  std::vector<std::vector<int>> transactions(n);
+  std::vector<std::vector<uint32_t>> item_tids(dim_attrs.size());
   for (size_t di = 0; di < dim_attrs.size(); ++di) {
     ForEachCfsMatch(db.attribute(dim_attrs[di]), cfs.members(),
                     [&](size_t mi, size_t /*si*/) {
-                      transactions[mi].push_back(static_cast<int>(di));
+                      item_tids[di].push_back(static_cast<uint32_t>(mi));
                     });
   }
 
   size_t min_support =
       std::max<size_t>(1, static_cast<size_t>(options.min_support_ratio *
                                               static_cast<double>(n)));
-  std::vector<std::vector<int>> mfs =
-      MineMaximalFrequentSets(transactions, min_support, options.max_dims);
+  std::vector<std::vector<int>> mfs = MineMaximalFrequentSetsFromTidsets(
+      std::move(item_tids), min_support, options.max_dims);
 
   // Build dimension sets: resolve conflicts, dedup.
   std::set<std::vector<AttrId>> seen;

@@ -278,10 +278,11 @@ Translation TranslateData(const std::vector<DimensionEncoding>& dims,
       uint64_t p = layout.EncodePartition(chunk_coords);
       out.partitions[p].emplace_back(cell, fact);
 
-      uint32_t& count = out.root_group_count[cell];
-      ++count;
       if (options.sample_capacity > 0) {
-        // Reservoir sampling (Vitter's algorithm R) per root group.
+        // Early-stop's stratified sample: the exact root-group size and a
+        // reservoir (Vitter's algorithm R) per root group.
+        uint32_t& count = out.root_group_count[cell];
+        ++count;
         std::vector<FactId>& reservoir = out.reservoirs[cell];
         if (reservoir.size() < options.sample_capacity) {
           reservoir.push_back(fact);
@@ -301,32 +302,6 @@ Translation TranslateData(const std::vector<DimensionEncoding>& dims,
       if (n == 0) break;
     }
   fact_done:;
-  }
-  return out;
-}
-
-Translation MergeShardTranslations(std::vector<Translation> shards) {
-  if (shards.empty()) return Translation();
-  Translation out = std::move(shards[0]);
-  for (size_t s = 1; s < shards.size(); ++s) {
-    Translation& shard = shards[s];
-    if (shard.partitions.size() > out.partitions.size()) {
-      out.partitions.resize(shard.partitions.size());
-    }
-    for (size_t p = 0; p < shard.partitions.size(); ++p) {
-      auto& dst = out.partitions[p];
-      auto& src = shard.partitions[p];
-      if (dst.empty()) {
-        dst = std::move(src);
-      } else {
-        dst.insert(dst.end(), src.begin(), src.end());
-      }
-    }
-    for (const auto& [cell, count] : shard.root_group_count) {
-      out.root_group_count[cell] += count;
-    }
-    out.num_facts_translated += shard.num_facts_translated;
-    out.num_dropped_combos += shard.num_dropped_combos;
   }
   return out;
 }

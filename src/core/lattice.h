@@ -124,12 +124,13 @@ class Mmst {
 };
 
 /// \brief Result of Data Translation (Section 4.3): the partitioned array
-/// representation, plus the exact per-root-group fact counts and the
-/// stratified reservoir sample that early-stop consumes.
+/// representation, plus — when sampling for early-stop — the exact
+/// per-root-group fact counts and the stratified reservoir sample.
 struct Translation {
   /// partitions[p] = (packed cell id, fact) pairs, facts of partition p.
   std::vector<std::vector<std::pair<uint64_t, FactId>>> partitions;
-  /// Exact fact count per root cell (group sizes; Appendix B).
+  /// Exact fact count per root cell (group sizes; Appendix B). Filled only
+  /// when sampling: early-stop's sampler and planner are its only readers.
   std::unordered_map<uint64_t, uint32_t> root_group_count;
   /// Reservoir sample per root cell (present only when sampling enabled).
   std::unordered_map<uint64_t, std::vector<FactId>> reservoirs;
@@ -147,27 +148,19 @@ struct TranslationOptions {
   size_t sample_capacity = 0;
   Rng* rng = nullptr;  ///< required when sample_capacity > 0
   /// Half-open fact-id range to translate; facts outside it are ignored.
-  /// {0, kInvalidFact} (the default) means every fact. Sharded evaluation
-  /// translates each range on its own worker; sampling is incompatible with
-  /// ranges (the reservoir RNG stream is sequential across all facts).
+  /// {0, kInvalidFact} (the default) means every fact. PrepareLattices
+  /// translates each range on its own worker; sampling needs every fact
+  /// (the reservoir RNG stream is sequential across all facts).
   FactId fact_begin = 0;
   FactId fact_end = kInvalidFact;
 };
 
 /// Translate the CFS facts into the partitioned array representation. A fact
 /// with no value on any dimension is skipped; missing dimensions map to the
-/// null code.
+/// null code. Every partition lists its facts in ascending order.
 Translation TranslateData(const std::vector<DimensionEncoding>& dims,
                           const CubeLayout& layout,
                           const TranslationOptions& options);
-
-/// Merge per-shard translations of ascending, disjoint fact ranges into the
-/// translation of the whole CFS — exactly. Partition vectors concatenate in
-/// shard order (each shard emits its facts in ascending order, so the
-/// concatenation reproduces the unsharded fact-major order bit for bit);
-/// root-group counts add; the scalar counters add. Sampling reservoirs are
-/// not merged (sharded translation never samples). Consumes `shards`.
-Translation MergeShardTranslations(std::vector<Translation> shards);
 
 /// \brief Generic one-pass lattice evaluation engine.
 ///

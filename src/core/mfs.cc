@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <set>
+#include <utility>
 
 namespace spade {
 
@@ -22,20 +22,13 @@ Tidset Intersect(const Tidset& a, const Tidset& b) {
 
 class MfsMiner {
  public:
-  MfsMiner(const std::vector<std::vector<int>>& transactions, size_t min_support,
-           size_t max_items)
+  MfsMiner(std::vector<Tidset> item_tids, size_t min_support, size_t max_items)
       : min_support_(std::max<size_t>(min_support, 1)), max_items_(max_items) {
-    // Build tidsets of frequent single items.
-    std::map<int, Tidset> tidsets;
-    for (uint32_t tid = 0; tid < transactions.size(); ++tid) {
-      for (int item : transactions[tid]) tidsets[item].push_back(tid);
-    }
-    for (auto& [item, tids] : tidsets) {
-      std::sort(tids.begin(), tids.end());
-      tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-      if (tids.size() >= min_support_) {
-        items_.push_back(item);
-        item_tids_.push_back(std::move(tids));
+    // Keep the frequent single items.
+    for (size_t item = 0; item < item_tids.size(); ++item) {
+      if (item_tids[item].size() >= min_support_) {
+        items_.push_back(static_cast<int>(item));
+        item_tids_.push_back(std::move(item_tids[item]));
       }
     }
     // Increasing support order: small tidsets first prunes faster.
@@ -128,12 +121,37 @@ class MfsMiner {
 
 }  // namespace
 
+std::vector<std::vector<int>> MineMaximalFrequentSetsFromTidsets(
+    std::vector<std::vector<uint32_t>> item_tids, size_t min_support,
+    size_t max_items) {
+  if (max_items == 0) return {};
+  MfsMiner miner(std::move(item_tids), min_support, max_items);
+  return miner.Mine();
+}
+
 std::vector<std::vector<int>> MineMaximalFrequentSets(
     const std::vector<std::vector<int>>& transactions, size_t min_support,
     size_t max_items) {
-  if (max_items == 0) return {};
-  MfsMiner miner(transactions, min_support, max_items);
-  return miner.Mine();
+  // Dense indexes for the distinct items, in ascending item order: the
+  // mapping is monotonic, so the miner's order and output map back as is.
+  std::vector<int> items;
+  for (const auto& t : transactions) items.insert(items.end(), t.begin(), t.end());
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  std::vector<Tidset> item_tids(items.size());
+  for (uint32_t tid = 0; tid < transactions.size(); ++tid) {
+    for (int item : transactions[tid]) {
+      Tidset& tids = item_tids[static_cast<size_t>(
+          std::lower_bound(items.begin(), items.end(), item) - items.begin())];
+      if (tids.empty() || tids.back() != tid) tids.push_back(tid);
+    }
+  }
+  std::vector<std::vector<int>> sets = MineMaximalFrequentSetsFromTidsets(
+      std::move(item_tids), min_support, max_items);
+  for (auto& set : sets) {
+    for (int& index : set) index = items[static_cast<size_t>(index)];
+  }
+  return sets;
 }
 
 std::vector<std::vector<int>> MaximalFrequentSetsBruteForce(

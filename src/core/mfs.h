@@ -2,6 +2,7 @@
 #define SPADE_CORE_MFS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace spade {
@@ -25,6 +26,15 @@ namespace spade {
 /// list is antichain (no set contains another).
 std::vector<std::vector<int>> MineMaximalFrequentSets(
     const std::vector<std::vector<int>>& transactions, size_t min_support,
+    size_t max_items);
+
+/// The same miner over the vertical layout it runs on: `item_tids[i]` is
+/// the tidset of item i — the ascending, duplicate-free ids of the
+/// transactions carrying it. Items are the indexes 0..item_tids.size()-1.
+/// The pipeline's enumeration has these lists directly (one CFS scan per
+/// candidate dimension), so it never builds per-fact transactions.
+std::vector<std::vector<int>> MineMaximalFrequentSetsFromTidsets(
+    std::vector<std::vector<uint32_t>> item_tids, size_t min_support,
     size_t max_items);
 
 /// Reference implementation by exhaustive enumeration, for tests. Exponential

@@ -1,6 +1,9 @@
 #include "src/core/mvdcube.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <set>
+#include <utility>
 
 #include "src/bitmap/roaring.h"
 #include "src/util/timer.h"
@@ -35,6 +38,110 @@ Mmst BuildMmstForSpec(const AttributeStore& db, const CfsIndex& cfs,
 }
 
 namespace {
+
+/// Translate every lattice of `out` over `ranges` (two or more): one task
+/// per (lattice, range) translates its range, a serial prefix sum sizes
+/// every partition, and one task per (lattice, range) copies its pairs to
+/// its offsets. False when cancelled.
+bool TranslateRanges(const std::vector<FactRange>& ranges,
+                     const TranslationOptions& topt, TaskScheduler* scheduler,
+                     const CancelCheck* cancel, double* sizing_ms,
+                     std::vector<PreparedLattice>* out) {
+  const size_t num_ranges = ranges.size();
+  const size_t num_tasks = out->size() * num_ranges;
+  std::vector<Translation> partials(num_tasks);  // [lattice * R + range]
+  scheduler->ParallelFor(
+      num_tasks,
+      [&](size_t t) {
+        SPADE_FAILPOINT("core.translate");
+        const PreparedLattice& lattice = (*out)[t / num_ranges];
+        TranslationOptions range_opt = topt;
+        range_opt.fact_begin = ranges[t % num_ranges].begin;
+        range_opt.fact_end = ranges[t % num_ranges].end;
+        partials[t] =
+            TranslateData(lattice.encodings, lattice.mmst.layout(), range_opt);
+      },
+      cancel);
+  if (cancel != nullptr && cancel->AbortNow()) return false;
+
+  // Partition p of range r starts where the ranges before r end in it.
+  Timer sizing_timer;
+  std::vector<std::vector<size_t>> offsets(num_tasks);
+  for (size_t li = 0; li < out->size(); ++li) {
+    Translation& whole = (*out)[li].translation;
+    whole.partitions.resize((*out)[li].mmst.layout().num_partitions);
+    for (size_t p = 0; p < whole.partitions.size(); ++p) {
+      size_t size = 0;
+      for (size_t t = li * num_ranges; t < (li + 1) * num_ranges; ++t) {
+        offsets[t].push_back(size);
+        size += partials[t].partitions[p].size();
+      }
+      whole.partitions[p].resize(size);
+    }
+    for (size_t t = li * num_ranges; t < (li + 1) * num_ranges; ++t) {
+      whole.num_facts_translated += partials[t].num_facts_translated;
+      whole.num_dropped_combos += partials[t].num_dropped_combos;
+    }
+  }
+  if (sizing_ms != nullptr) *sizing_ms += sizing_timer.ElapsedMillis();
+
+  scheduler->ParallelFor(
+      num_tasks,
+      [&](size_t t) {
+        Translation& whole = (*out)[t / num_ranges].translation;
+        const auto& parts = partials[t].partitions;
+        for (size_t p = 0; p < parts.size(); ++p) {
+          std::copy(parts[p].begin(), parts[p].end(),
+                    whole.partitions[p].begin() +
+                        static_cast<std::ptrdiff_t>(offsets[t][p]));
+        }
+        partials[t] = Translation();  // release the range's copy early
+      },
+      cancel);
+  return cancel == nullptr || !cancel->AbortNow();
+}
+
+/// Load the measures of `lattices` that `measures` lacks: one task per
+/// (attribute, range), each writing the disjoint slots of its range.
+void LoadMeasures(const AttributeStore& db, const CfsIndex& cfs,
+                  const std::vector<LatticeSpec>& lattices,
+                  const std::vector<FactRange>& ranges,
+                  TaskScheduler* scheduler, const CancelCheck* cancel,
+                  MeasureCache* measures) {
+  std::set<AttrId> attr_set;
+  for (const LatticeSpec& spec : lattices) {
+    for (const MeasureSpec& m : spec.measures) {
+      if (!m.is_count_star() && !measures->Contains(m.attr)) {
+        attr_set.insert(m.attr);
+      }
+    }
+  }
+  const std::vector<AttrId> attrs(attr_set.begin(), attr_set.end());
+  const size_t num_ranges = ranges.size();
+  std::vector<MeasureVector> vectors(attrs.size());
+  for (MeasureVector& mv : vectors) mv.Init(cfs.size());
+  std::vector<MeasureFillFlags> flags(attrs.size() * num_ranges);
+  scheduler->ParallelFor(
+      flags.size(),
+      [&](size_t t) {
+        SPADE_FAILPOINT("core.measure.load");
+        flags[t] = FillMeasureVectorRange(db, cfs, attrs[t / num_ranges],
+                                          ranges[t % num_ranges],
+                                          &vectors[t / num_ranges]);
+      },
+      cancel);
+  if (cancel != nullptr && cancel->AbortNow()) return;
+  for (size_t a = 0; a < attrs.size(); ++a) {
+    MeasureVector& mv = vectors[a];
+    mv.numeric = true;
+    mv.single_valued = true;
+    for (size_t t = a * num_ranges; t < (a + 1) * num_ranges; ++t) {
+      mv.numeric &= flags[t].numeric;
+      mv.single_valued &= flags[t].single_valued;
+    }
+    measures->Put(attrs[a], std::move(mv));
+  }
+}
 
 /// Bitmap cell for the scaffold.
 struct BitmapCell {
@@ -72,67 +179,93 @@ double FoldedValue(sparql::AggFunc func, const simd::FoldResult& acc) {
 
 }  // namespace
 
-MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
-                                const CfsIndex& cfs, const LatticeSpec& spec,
+std::vector<PreparedLattice> PrepareLattices(
+    const AttributeStore& db, const CfsIndex& cfs,
+    const std::vector<LatticeSpec>& lattices, const MvdCubeOptions& options,
+    MeasureCache* measures, TaskScheduler* scheduler, size_t num_ranges,
+    const CancelCheck* cancel, size_t sample_capacity, Rng* rng,
+    double* sizing_ms) {
+  TaskScheduler inline_scheduler(nullptr);
+  if (scheduler == nullptr) scheduler = &inline_scheduler;
+  // Every fan-out takes the cancel check, and AbortNow() stays true once it
+  // fires, so each stage returns before the next could read a skipped
+  // task's hole.
+  auto aborted = [&] { return cancel != nullptr && cancel->AbortNow(); };
+  std::vector<PreparedLattice> out(lattices.size());
+
+  // Encodings: one task per (lattice, dimension); then the MMSTs.
+  std::vector<std::pair<size_t, size_t>> dim_tasks;
+  for (size_t li = 0; li < lattices.size(); ++li) {
+    out[li].encodings.resize(lattices[li].dims.size());
+    for (size_t d = 0; d < lattices[li].dims.size(); ++d) {
+      dim_tasks.emplace_back(li, d);
+    }
+  }
+  scheduler->ParallelFor(
+      dim_tasks.size(),
+      [&](size_t t) {
+        const auto [li, d] = dim_tasks[t];
+        out[li].encodings[d] =
+            BuildDimensionEncoding(db, cfs, lattices[li].dims[d]);
+      },
+      cancel);
+  if (aborted()) return out;
+  for (PreparedLattice& lattice : out) {
+    std::vector<int> extents;
+    for (const DimensionEncoding& enc : lattice.encodings) {
+      extents.push_back(enc.domain_size());
+    }
+    lattice.mmst = Mmst::Build(extents, options.partition_chunk);
+  }
+
+  // Translation. Sampling runs in lattice order on this thread: every
+  // lattice's reservoirs draw from the one `rng` stream.
+  TranslationOptions topt;
+  topt.max_combos_per_fact = options.max_combos_per_fact;
+  topt.sample_capacity = sample_capacity;
+  topt.rng = rng;
+  const std::vector<FactRange> ranges =
+      MakeFactShards(cfs.size(), sample_capacity > 0 ? 1 : num_ranges);
+  auto translate = [&](size_t li) {
+    SPADE_FAILPOINT("core.translate");
+    out[li].translation =
+        TranslateData(out[li].encodings, out[li].mmst.layout(), topt);
+  };
+  if (sample_capacity > 0) {
+    for (size_t li = 0; li < out.size() && !aborted(); ++li) translate(li);
+  } else if (ranges.size() == 1) {
+    scheduler->ParallelFor(out.size(), translate, cancel);
+  } else if (!TranslateRanges(ranges, topt, scheduler, cancel, sizing_ms,
+                              &out)) {
+    return out;
+  }
+  if (aborted()) return out;
+
+  LoadMeasures(db, cfs, lattices, ranges, scheduler, cancel, measures);
+  return out;
+}
+
+MvdCubeStats EvaluateLatticeMvd(uint32_t cfs_id, const LatticeSpec& spec,
+                                const PreparedLattice& prepared,
+                                const MeasureCache& measures,
                                 const MvdCubeOptions& options, Arm* arm,
-                                MeasureCache* measures,
                                 const std::set<AggregateKey>* pruned,
-                                const Translation* pre_translated,
-                                const Mmst* pre_built,
-                                const std::vector<DimensionEncoding>*
-                                    pre_encodings,
                                 TaskScheduler* scheduler,
                                 size_t lattice_workers,
                                 const CancelCheck* cancel,
                                 uint64_t budget_bytes_used) {
   MvdCubeStats stats;
-  Timer timer;
   size_t n = spec.dims.size();
+  const std::vector<DimensionEncoding>& encodings = prepared.encodings;
+  const Mmst& mmst = prepared.mmst;
+  stats.num_nodes = mmst.nodes().size();
 
-  // --- Build MMST (dimension encodings + layout).
-  std::vector<DimensionEncoding> local_encodings;
-  Mmst local_mmst;
-  const Mmst* mmst = pre_built;
-  if (mmst == nullptr) {
-    local_mmst =
-        BuildMmstForSpec(db, cfs, spec, &local_encodings, options.partition_chunk);
-    mmst = &local_mmst;
-  } else if (pre_encodings == nullptr) {
-    // Encodings still needed for value decoding.
-    for (AttrId d : spec.dims) {
-      local_encodings.push_back(BuildDimensionEncoding(db, cfs, d));
-    }
-  }
-  const std::vector<DimensionEncoding>& encodings =
-      pre_encodings != nullptr ? *pre_encodings : local_encodings;
-  stats.num_nodes = mmst->nodes().size();
-  stats.mmst_memory_cells = mmst->total_memory_cells();
-
-  // --- Data Translation.
-  Translation local_translation;
-  const Translation* translation = pre_translated;
-  if (translation == nullptr) {
-    SPADE_FAILPOINT("core.translate");
-    TranslationOptions topt;
-    topt.max_combos_per_fact = options.max_combos_per_fact;
-    local_translation = TranslateData(encodings, mmst->layout(), topt);
-    translation = &local_translation;
-  }
-  for (const auto& p : translation->partitions) {
-    stats.translation_cells += p.size();
-  }
-  stats.translate_ms = timer.ElapsedMillis();
-  timer.Restart();
-
-  // --- Measure Loading (shared across lattices via the cache).
   std::vector<const MeasureVector*> loaded(spec.measures.size(), nullptr);
   for (size_t m = 0; m < spec.measures.size(); ++m) {
     if (!spec.measures[m].is_count_star()) {
-      loaded[m] = &measures->Get(db, cfs, spec.measures[m].attr);
+      loaded[m] = &measures.At(spec.measures[m].attr);
     }
   }
-  stats.measure_load_ms = timer.ElapsedMillis();
-  timer.Restart();
 
   // --- Register MDAs per node; skip already-evaluated and pruned keys.
   size_t num_nodes = size_t{1} << n;
@@ -211,7 +344,7 @@ MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
     return true;
   };
   const std::vector<NodeGroups<BitmapCell>> groups =
-      ParallelLatticeRun<BitmapCell>(*mmst, *translation, &wanted,
+      ParallelLatticeRun<BitmapCell>(mmst, prepared.translation, &wanted,
                                      lattice_workers, scheduler, load, merge,
                                      keep, &stats.lattice, cancel);
 
@@ -273,7 +406,7 @@ MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
       if (!task.mdas.empty()) tasks.push_back(std::move(task));
     }
   }
-  const CubeLayout& layout = mmst->layout();
+  const CubeLayout& layout = mmst.layout();
   std::vector<size_t> task_groups(tasks.size(), 0);
   std::vector<double> task_ms(tasks.size(), 0.0);
   auto run_task = [&](size_t t) {
@@ -341,7 +474,6 @@ MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
   }
   stats.lattice.wall_ms += emit_wall.ElapsedMillis();
   stats.lattice.work_ms += emit_work_ms;
-  stats.compute_ms = timer.ElapsedMillis();
   return stats;
 }
 

@@ -19,9 +19,15 @@ namespace spade {
 /// nodes shared between lattices, enforced via the ARM).
 class MeasureCache {
  public:
+  /// The vector of `attr`, built on first use (ArrayCube and early-stop's
+  /// planner load lazily).
   const MeasureVector& Get(const AttributeStore& db, const CfsIndex& cfs, AttrId attr);
-  /// Insert a pre-built vector (the sharded evaluator fills measure vectors
-  /// shard-parallel in Prepare). First writer wins, like Get.
+  /// The vector of `attr`; it must already be loaded (PrepareLattices loads
+  /// every measure of its lattices). Throws std::out_of_range otherwise.
+  const MeasureVector& At(AttrId attr) const { return cache_.at(attr); }
+  bool Contains(AttrId attr) const { return cache_.count(attr) > 0; }
+  /// Insert a pre-built vector (PrepareLattices fills measure vectors range
+  /// by range). First writer wins, like Get.
   void Put(AttrId attr, MeasureVector mv);
   size_t num_loads() const { return cache_.size(); }
 
@@ -58,11 +64,6 @@ struct MvdCubeStats {
   size_t num_mdas_reused = 0;     ///< keys already in the ARM (shared nodes)
   size_t num_mdas_pruned = 0;     ///< keys skipped by early-stop
   size_t num_groups_emitted = 0;
-  uint64_t translation_cells = 0;
-  uint64_t mmst_memory_cells = 0;
-  double translate_ms = 0;
-  double measure_load_ms = 0;
-  double compute_ms = 0;
   /// Summed RoaringBitmap::CanonicalBytes() of every collected group cell.
   /// The emit's canonical pre-pass walks the merged partials, which all
   /// coexist at that point, so this is a lower bound on the lattice's peak
@@ -82,20 +83,59 @@ struct MvdCubeStats {
   ParallelLatticeStats lattice;
 };
 
+/// \brief One lattice's inputs to Lattice Computation: its dimension
+/// encodings, the MMST over their extents, and the facts translated into
+/// the MMST's partitioned layout (Section 4.3, Data Translation).
+struct PreparedLattice {
+  std::vector<DimensionEncoding> encodings;
+  Mmst mmst;
+  Translation translation;
+};
+
+/// \brief Section 4.3's first two steps for every lattice of one CFS: Data
+/// Translation and Measure Loading, fanned out on `scheduler` (null runs
+/// inline). `num_ranges` contiguous fact ranges (MakeFactShards) split the
+/// per-fact work:
+///   - one task per (lattice, dimension) builds the encodings, then each
+///     lattice's MMST is built from their extents;
+///   - one task per (lattice, fact range) translates that range. A serial
+///     prefix sum over the partial sizes, in ascending range order, sizes
+///     every partition (`*sizing_ms` gets its time), and one task per
+///     (lattice, fact range) copies its pairs to its offsets. Each range
+///     lists its facts ascending, so the result is byte-identical to the
+///     one-range translation at every range count, with nothing merged;
+///   - one task per (measure attribute, fact range) fills the measure
+///     vectors `measures` does not hold yet. Slot f depends on fact f's
+///     rows only, and the table-wide flags AND-combine exactly.
+///
+/// With `sample_capacity` > 0 (early-stop) the translations instead run
+/// serially, in lattice order, over all facts: the lattices' stratified
+/// reservoirs draw from the one `rng` stream (Section 5.3), so only that
+/// order reproduces them. On AbortNow() the result is partial and only fit
+/// for discarding.
+std::vector<PreparedLattice> PrepareLattices(
+    const AttributeStore& db, const CfsIndex& cfs,
+    const std::vector<LatticeSpec>& lattices, const MvdCubeOptions& options,
+    MeasureCache* measures, TaskScheduler* scheduler = nullptr,
+    size_t num_ranges = 1, const CancelCheck* cancel = nullptr,
+    size_t sample_capacity = 0, Rng* rng = nullptr,
+    double* sizing_ms = nullptr);
+
 /// \brief MVDCube (Section 4.3): correct one-pass lattice evaluation.
 ///
-/// Pipeline per lattice: Data Translation lays the facts into the
-/// partitioned array (cells addressed by dimension value codes, multi-valued
-/// facts in several cells, missing values on the added null coordinate);
-/// Measure Loading fetches the per-fact pre-aggregated measures (shared via
-/// MeasureCache); Lattice Computation streams partitions through the MMST,
-/// cells carrying Roaring bitmaps of fact ids. Bitmaps are ORed downward as
-/// dimensions are projected away, so a fact that occupies several parent
-/// cells (multi-valued dimension) is consolidated — counted once — in the
-/// child cell. When a node's region completes, its cells are scanned once:
-/// the bitmap is intersected against the measure arrays (both ordered by
-/// fact id) and every (measure, function) MDA of the node is computed
-/// simultaneously; null-coordinate groups are propagated but not reported.
+/// `prepared` and `measures` come from PrepareLattices: Data Translation
+/// laid the facts into the partitioned array (cells addressed by dimension
+/// value codes, multi-valued facts in several cells, missing values on the
+/// added null coordinate) and Measure Loading fetched the per-fact
+/// pre-aggregated measures. Lattice Computation streams partitions through
+/// the MMST, cells carrying Roaring bitmaps of fact ids. Bitmaps are ORed
+/// downward as dimensions are projected away, so a fact that occupies
+/// several parent cells (multi-valued dimension) is consolidated — counted
+/// once — in the child cell. When a node's region completes, its cells are
+/// scanned once: the bitmap is intersected against the measure arrays (both
+/// ordered by fact id) and every (measure, function) MDA of the node is
+/// computed simultaneously; null-coordinate groups are propagated but not
+/// reported.
 ///
 /// `pruned` contains MDA keys early-stop decided to skip (their nodes still
 /// propagate). Results stream into `arm`; keys already evaluated there are
@@ -111,22 +151,18 @@ struct MvdCubeStats {
 /// node's list in order. Every ARM entry belongs to one task and sees its
 /// groups in canonical order, so the ARM contents are identical at every
 /// worker count: `lattice_workers` and `scheduler` only change wall-clock.
-MvdCubeStats EvaluateLatticeMvd(const AttributeStore& db, uint32_t cfs_id,
-                                const CfsIndex& cfs, const LatticeSpec& spec,
+MvdCubeStats EvaluateLatticeMvd(uint32_t cfs_id, const LatticeSpec& spec,
+                                const PreparedLattice& prepared,
+                                const MeasureCache& measures,
                                 const MvdCubeOptions& options, Arm* arm,
-                                MeasureCache* measures,
                                 const std::set<AggregateKey>* pruned = nullptr,
-                                const Translation* pre_translated = nullptr,
-                                const Mmst* pre_built = nullptr,
-                                const std::vector<DimensionEncoding>*
-                                    pre_encodings = nullptr,
                                 TaskScheduler* scheduler = nullptr,
                                 size_t lattice_workers = 1,
                                 const CancelCheck* cancel = nullptr,
                                 uint64_t budget_bytes_used = 0);
 
-/// Build the MMST for a lattice spec (exposed so early-stop and benches can
-/// share one instance with the evaluation).
+/// Build the MMST for a lattice spec (ArrayCube, and tests and benches that
+/// drive the scaffold or early-stop's planner directly).
 Mmst BuildMmstForSpec(const AttributeStore& db, const CfsIndex& cfs,
                       const LatticeSpec& spec,
                       std::vector<DimensionEncoding>* encodings,

@@ -47,16 +47,16 @@ struct SpadeOptions {
   size_t max_stored_groups = 64;
   /// Online-phase worker threads: 0 = hardware concurrency, 1 = serial.
   /// The same pool drives all three parallelism levels — across CFSs,
-  /// across fact-id shards of one CFS, and across partition slices of one
-  /// lattice computation (ParallelLatticeRun). Results (top-k insights,
+  /// across dimensions and fact-id ranges of one CFS's Prepare, and across
+  /// partition slices of one lattice computation (ParallelLatticeRun). Results (top-k insights,
   /// aggregate counts) are identical at every setting; only wall-clock
   /// changes.
   size_t num_threads = 1;
-  /// Fact-id-range shards evaluating one CFS concurrently: 0 = auto (one
-  /// shard per resolved worker thread), 1 = unsharded, N = exactly N.
-  /// Sharding applies to the MVDCube path without early-stop; other
-  /// configurations fall back to unsharded evaluation. Results are
-  /// bit-identical at every shard count (see ARCHITECTURE.md).
+  /// Fact-id ranges MVDCube's Prepare splits one CFS's translation and
+  /// measure loading into: 0 = auto (one range per resolved worker
+  /// thread), N = exactly N. Early-stop and the other algorithms use one
+  /// range. Results are bit-identical at every count (see
+  /// ARCHITECTURE.md).
   size_t num_shards = 0;
   /// Streaming offline build (RunOffline(TripleChunkSource*)): overlap
   /// parsing, store construction and the offline statistics pass on the
@@ -167,15 +167,16 @@ struct SpadeReport {
   size_t num_pruned_aggregates = 0;
   size_t num_groups_emitted = 0;  ///< group tuples streamed into the ARM
   size_t num_threads_used = 1;    ///< resolved online-phase worker count
-  size_t num_shards_used = 1;     ///< resolved within-CFS shard count
+  size_t num_shards_used = 1;     ///< resolved within-CFS range count
   /// Measure-fold kernel the runtime dispatcher picked for the online phase
   /// ("scalar" / "avx2" / "neon"); results are bit-identical across kernels,
   /// this reports what actually ran (--simd / SpadeOptions::mvd.simd).
   const char* simd_kernel = "scalar";
-  /// Facts owned by each fact-id-range shard, summed over all sharded CFS
-  /// evaluations (empty when every CFS ran unsharded).
+  /// Facts owned by each fact-id range, summed over the CFS evaluations
+  /// that split into several (empty when every CFS used one range).
   std::vector<size_t> shard_fact_counts;
-  /// Work time spent merging per-shard partial translations (all CFSs).
+  /// Time spent sizing translation partitions from the ranges' partial
+  /// sizes, the one serial step between the range tasks (all CFSs).
   double shard_merge_ms = 0;
   /// Partition-parallel lattice computation (MVDCube path; zero elsewhere):
   /// the largest slice count any lattice ran with (bounded by num_threads

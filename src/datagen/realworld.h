@@ -40,7 +40,8 @@ std::vector<RealDataset> AllRealDatasets();
 
 /// Generate a dataset. `scale` multiplies entity counts (1.0 reproduces the
 /// Table 2 profile for the small graphs; DBLP/Airline are generated at a
-/// documented fraction of their original size — see EXPERIMENTS.md).
+/// documented fraction of their original size — see bench/README.md,
+/// "Datasets and scales").
 std::unique_ptr<Graph> GenerateRealDataset(RealDataset dataset, uint64_t seed,
                                            double scale = 1.0);
 

@@ -5,7 +5,6 @@
 
 #include "src/core/arraycube.h"
 #include "src/core/pgcube.h"
-#include "src/exec/sharded_evaluator.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
@@ -54,11 +53,12 @@ namespace {
 
 /// \brief MVDCube behind the uniform interface.
 ///
-/// Prepare() builds the per-lattice encodings / MMSTs / translations. With
-/// early-stop enabled it additionally runs the CI planner — serially, since
-/// the stratified reservoirs draw from one sequential RNG stream (bit-equal
-/// results across thread counts). Without early-stop the per-lattice
-/// pre-builds are independent pure functions and fan out on the scheduler.
+/// Prepare() builds every lattice's encodings, MMST and translation and
+/// loads its measures through PrepareLattices, over `num_shards` fact
+/// ranges; the prepared inputs are byte-identical at every range and thread
+/// count. With early-stop the translations sample, serially in lattice
+/// order (the stratified reservoirs draw from one sequential RNG stream),
+/// and the CI planner then picks the MDAs to prune.
 class MvdCubeEvaluator : public CubeEvaluator {
  public:
   explicit MvdCubeEvaluator(const CubeEvalOptions& options)
@@ -69,64 +69,51 @@ class MvdCubeEvaluator : public CubeEvaluator {
   void Prepare(const CubeEvalInputs& in, const Arm& arm,
                TaskScheduler* scheduler, EvalStats* stats) override {
     const std::vector<LatticeSpec>& lattices = *in.lattices;
-    encodings_.assign(lattices.size(), {});
-    mmsts_.assign(lattices.size(), {});
-    translations_.assign(lattices.size(), {});
-
-    if (options_.enable_earlystop) {
-      Timer es_timer;
-      Rng rng(options_.seed ^ (0x9e3779b97f4a7c15ULL * (in.cfs_id + 1)));
-      EarlyStopOptions es_options = options_.earlystop;
-      es_options.kind = options_.interestingness;
-      es_options.top_k = std::max(es_options.top_k, options_.top_k);
-      EarlyStopPlanner planner(in.db, in.cfs_id, in.cfs, in.offline_stats,
-                               es_options);
-      for (size_t li = 0; li < lattices.size(); ++li) {
-        BuildLattice(in, li, es_options.sample_size, &rng);
-        planner.AddLattice(lattices[li], encodings_[li], mmsts_[li].layout(),
-                           translations_[li], &measures_);
+    const size_t num_ranges = std::max<size_t>(1, options_.num_shards);
+    if (num_ranges > 1) {
+      for (const FactRange& r : MakeFactShards(in.cfs->size(), num_ranges)) {
+        stats->shard_fact_counts.push_back(r.size());
       }
-      // `arm` is the per-CFS shard — empty here on the pipeline path. The
-      // seed passed the global ARM, whose other-CFS exact scores tightened
-      // the k-th-best threshold; that coupling made pruning depend on CFS
-      // evaluation order, so the per-CFS scope trades a little pruning
-      // power for thread-count-independent results (ARCHITECTURE.md,
-      // "Determinism under parallelism").
-      EarlyStopResult es = planner.Plan(arm);
-      pruned_ = std::move(es.pruned);
-      // Unique pruned MDA keys (a shared node would otherwise be counted
-      // once per lattice).
-      stats->num_mdas_pruned += pruned_.size();
-      stats->earlystop_ms += es_timer.ElapsedMillis();
-      pre_built_ = true;
-      return;
     }
-
-    // No early-stop: the pre-builds are independent per lattice (no shared
-    // RNG), identical to what EvaluateLatticeMvd would build internally.
-    // Fan them out when a scheduler is available; a lone lattice or serial
-    // scheduler falls through to EvaluateLatticeMvd's internal build.
-    if (scheduler != nullptr && scheduler->parallel() && lattices.size() > 1) {
-      // Cancellation may skip individual builds; the aborted CFS's results
-      // are discarded wholesale by the driver, so a hole is harmless.
-      scheduler->ParallelFor(
-          lattices.size(),
-          [&](size_t li) {
-            BuildLattice(in, li, /*sample_capacity=*/0, /*rng=*/nullptr);
-          },
-          in.cancel);
-      pre_built_ = true;
+    const bool sample = options_.enable_earlystop;
+    EarlyStopOptions es_options = options_.earlystop;
+    es_options.kind = options_.interestingness;
+    es_options.top_k = std::max(es_options.top_k, options_.top_k);
+    Rng rng(options_.seed ^ (0x9e3779b97f4a7c15ULL * (in.cfs_id + 1)));
+    prepared_ = PrepareLattices(*in.db, *in.cfs, lattices, options_.mvd,
+                                &measures_, scheduler, num_ranges, in.cancel,
+                                sample ? es_options.sample_size : 0,
+                                sample ? &rng : nullptr,
+                                &stats->shard_merge_ms);
+    // An aborted build has holes; the pipeline discards this CFS anyway.
+    if (!sample || (in.cancel != nullptr && in.cancel->AbortNow())) return;
+    Timer es_timer;
+    EarlyStopPlanner planner(in.db, in.cfs_id, in.cfs, in.offline_stats,
+                             es_options);
+    for (size_t li = 0; li < lattices.size(); ++li) {
+      const PreparedLattice& p = prepared_[li];
+      planner.AddLattice(lattices[li], p.encodings, p.mmst.layout(),
+                         p.translation, &measures_);
     }
+    // `arm` is the per-CFS shard — empty here on the pipeline path. The
+    // seed passed the global ARM, whose other-CFS exact scores tightened
+    // the k-th-best threshold; that coupling made pruning depend on CFS
+    // evaluation order, so the per-CFS scope trades a little pruning
+    // power for thread-count-independent results (ARCHITECTURE.md,
+    // "Determinism under parallelism").
+    EarlyStopResult es = planner.Plan(arm);
+    pruned_ = std::move(es.pruned);
+    // Unique pruned MDA keys (a shared node would otherwise be counted
+    // once per lattice).
+    stats->num_mdas_pruned += pruned_.size();
+    stats->earlystop_ms += es_timer.ElapsedMillis();
   }
 
   void EvaluateLattice(const CubeEvalInputs& in, size_t li, Arm* arm,
                        TaskScheduler* scheduler, EvalStats* stats) override {
     MvdCubeStats s = EvaluateLatticeMvd(
-        *in.db, in.cfs_id, *in.cfs, (*in.lattices)[li], options_.mvd, arm,
-        &measures_, pruned_.empty() ? nullptr : &pruned_,
-        pre_built_ ? &translations_[li] : nullptr,
-        pre_built_ ? &mmsts_[li] : nullptr,
-        pre_built_ ? &encodings_[li] : nullptr, scheduler,
+        in.cfs_id, (*in.lattices)[li], prepared_[li], measures_, options_.mvd,
+        arm, pruned_.empty() ? nullptr : &pruned_, scheduler,
         ResolveLatticeWorkers(scheduler), in.cancel, budget_bytes_used_);
     budget_bytes_used_ += s.bitmap_bytes_peak;
     stats->num_mdas_evaluated += s.num_mdas_evaluated;
@@ -140,29 +127,10 @@ class MvdCubeEvaluator : public CubeEvaluator {
   }
 
  private:
-  /// Pre-build lattice `li`'s encoding, MMST and translation — the one
-  /// definition both Prepare branches share, and the bit-identical twin of
-  /// EvaluateLatticeMvd's internal build (plus optional reservoir sampling
-  /// for early-stop).
-  void BuildLattice(const CubeEvalInputs& in, size_t li,
-                    size_t sample_capacity, Rng* rng) {
-    mmsts_[li] = BuildMmstForSpec(*in.db, *in.cfs, (*in.lattices)[li],
-                                  &encodings_[li],
-                                  options_.mvd.partition_chunk);
-    TranslationOptions topt;
-    topt.max_combos_per_fact = options_.mvd.max_combos_per_fact;
-    topt.sample_capacity = sample_capacity;
-    topt.rng = rng;
-    translations_[li] = TranslateData(encodings_[li], mmsts_[li].layout(), topt);
-  }
-
   CubeEvalOptions options_;
   MeasureCache measures_;
   std::set<AggregateKey> pruned_;
-  std::vector<std::vector<DimensionEncoding>> encodings_;
-  std::vector<Mmst> mmsts_;
-  std::vector<Translation> translations_;
-  bool pre_built_ = false;
+  std::vector<PreparedLattice> prepared_;
   /// Bitmap bytes admitted by earlier lattices of this CFS — the budget is
   /// per CFS, not per lattice (one evaluator instance per CFS).
   uint64_t budget_bytes_used_ = 0;
@@ -237,10 +205,6 @@ size_t ResolveShardCount(EvalAlgorithm algorithm, bool enable_earlystop,
 std::unique_ptr<CubeEvaluator> MakeCubeEvaluator(const CubeEvalOptions& options) {
   switch (options.algorithm) {
     case EvalAlgorithm::kMvdCube:
-      if (ResolveShardCount(options.algorithm, options.enable_earlystop,
-                            options.num_shards, /*num_threads=*/1) > 1) {
-        return MakeShardedMvdCubeEvaluator(options);
-      }
       return std::make_unique<MvdCubeEvaluator>(options);
     case EvalAlgorithm::kPgCubeStar:
       return std::make_unique<PgCubeEvaluator>(PgCubeVariant::kStar);

@@ -36,11 +36,11 @@ struct CubeEvalOptions {
   InterestingnessKind interestingness = InterestingnessKind::kVariance;
   size_t top_k = 10;
   uint64_t seed = 42;
-  /// Fact-id-range shards evaluating one CFS concurrently (resolved count,
-  /// >= 1; callers translate "auto" before building this struct). Only the
-  /// MVDCube path shards; with early-stop enabled the factory falls back to
-  /// the unsharded evaluator (the stratified reservoirs draw from one
-  /// sequential RNG stream). Results are bit-identical at every shard count.
+  /// Fact-id ranges MVDCube's Prepare splits one CFS's translation and
+  /// measure loading into (resolved count, >= 1; callers translate "auto"
+  /// through ResolveShardCount, which gives early-stop one range: its
+  /// stratified reservoirs draw from one sequential RNG stream). Results
+  /// are bit-identical at every count.
   size_t num_shards = 1;
 };
 
@@ -68,9 +68,9 @@ struct EvalStats {
   size_t num_mdas_pruned = 0;     ///< unique keys skipped by early-stop
   size_t num_groups_emitted = 0;
   double earlystop_ms = 0;  ///< CI planning time, inside evaluation wall-clock
-  /// Within-CFS sharding (empty / zero when evaluation was unsharded):
-  /// facts owned by each fact-id-range shard, and the time spent merging
-  /// per-shard partial translations back together, summed over lattices.
+  /// Fact-id ranges of MVDCube's Prepare (empty / zero with one range):
+  /// facts owned by each range, and the serial step that sizes every
+  /// translation partition from the ranges' partial sizes.
   std::vector<size_t> shard_fact_counts;
   double shard_merge_ms = 0;
   /// Partition-parallel lattice computation (MVDCube path; zero elsewhere):
@@ -149,17 +149,16 @@ class CubeEvaluator {
 };
 
 /// Resolve the lattice-computation worker count: one partition slice per
-/// compute thread of the scheduler (1 when serial). The single definition
-/// both MVDCube evaluators (plain and sharded) dispatch on. Results are
+/// compute thread of the scheduler (1 when serial). Results are
 /// worker-count-independent by construction (ParallelLatticeRun's canonical
 /// merge-and-emit), so this is purely a wall-clock knob.
 size_t ResolveLatticeWorkers(const TaskScheduler* scheduler);
 
-/// Resolve the within-CFS shard count: 0 = auto (one per worker thread);
-/// configurations the factory cannot shard — non-MVDCube algorithms and
+/// Resolve the within-CFS fact-range count: 0 = auto (one per worker
+/// thread); configurations that cannot split — non-MVDCube algorithms and
 /// early-stop (sequential reservoir RNG stream) — resolve to 1. The single
-/// definition of sharding eligibility, shared by the factory's dispatch and
-/// the pipeline's reporting so the two can never drift.
+/// definition of range eligibility, shared by the pipeline's evaluation and
+/// its reporting so the two can never drift.
 size_t ResolveShardCount(EvalAlgorithm algorithm, bool enable_earlystop,
                          size_t requested_shards, size_t num_threads);
 

@@ -54,8 +54,19 @@ bool ParseInt64(std::string_view s, int64_t* out) {
 bool ParseDouble(std::string_view s, double* out) {
   s = Trim(s);
   if (s.empty()) return false;
-  // std::from_chars for double is unreliable across stdlib versions; strtod on
-  // a bounded copy keeps the whole-string check.
+  // from_chars reads the view in place and rounds correctly, as strtod does,
+  // so a whole-string success gives strtod's bits. It takes no leading '+',
+  // no hex and no out-of-range value; those go to strtod on a bounded copy,
+  // so every string keeps strtod's verdict and value. A standard library
+  // without floating-point from_chars (__cpp_lib_to_chars) uses strtod only.
+#if defined(__cpp_lib_to_chars)
+  double v;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc() && ptr == s.data() + s.size()) {
+    *out = v;
+    return true;
+  }
+#endif
   std::string buf(s);
   char* end = nullptr;
   *out = std::strtod(buf.c_str(), &end);

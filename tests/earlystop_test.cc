@@ -11,6 +11,7 @@ namespace {
 using testing_helpers::DimSpec;
 using testing_helpers::MakeRandomAnalysis;
 using testing_helpers::MeasureShape;
+using testing_helpers::PrepareAndEvaluate;
 using testing_helpers::RandomAnalysis;
 
 TEST(EstimateScoreTest, DegenerateGroups) {
@@ -218,11 +219,11 @@ TEST(EarlyStopPlannerTest, EndToEndAccuracyAgainstExhaustive) {
 
   Arm exhaustive;
   MeasureCache cache1;
-  EvaluateLatticeMvd(*fx.db, 0, *fx.cfs, fx.spec, MvdCubeOptions(), &exhaustive,
+  PrepareAndEvaluate(*fx.db, *fx.cfs, fx.spec, MvdCubeOptions(), &exhaustive,
                      &cache1);
   Arm pruned_arm;
   MeasureCache cache2;
-  EvaluateLatticeMvd(*fx.db, 0, *fx.cfs, fx.spec, MvdCubeOptions(), &pruned_arm,
+  PrepareAndEvaluate(*fx.db, *fx.cfs, fx.spec, MvdCubeOptions(), &pruned_arm,
                      &cache2, &es.pruned);
 
   auto top_full = exhaustive.TopK(3, InterestingnessKind::kVariance);

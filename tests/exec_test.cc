@@ -271,63 +271,90 @@ TEST(ParallelPipelineTest, ZeroMeansHardwareConcurrency) {
 
 // --- Within-CFS sharding --------------------------------------------------
 
-TEST(ShardedEvaluatorTest, FactoryDispatchesOnShardsAlgorithmAndEarlyStop) {
+TEST(ShardedEvaluatorTest, OneMvdCubeEvaluatorAtEveryShardCount) {
   CubeEvalOptions options;
-  options.num_shards = 4;
-  EXPECT_STREQ(MakeCubeEvaluator(options)->name(), "MVDCube/sharded");
-  // Early-stop falls back: its reservoir RNG stream is sequential.
-  options.enable_earlystop = true;
-  EXPECT_STREQ(MakeCubeEvaluator(options)->name(), "MVDCube");
-  options.enable_earlystop = false;
-  options.num_shards = 1;
-  EXPECT_STREQ(MakeCubeEvaluator(options)->name(), "MVDCube");
-  options.num_shards = 4;
+  for (size_t shards : {1u, 4u}) {
+    for (bool earlystop : {false, true}) {
+      options.num_shards = shards;
+      options.enable_earlystop = earlystop;
+      EXPECT_STREQ(MakeCubeEvaluator(options)->name(), "MVDCube");
+    }
+  }
   options.algorithm = EvalAlgorithm::kPgCubeStar;
   EXPECT_STREQ(MakeCubeEvaluator(options)->name(), "PGCube*");
 }
 
-// The exactness core of the sharded path: translating ascending disjoint
-// fact ranges and merging in shard order reproduces the unsharded
-// translation bit for bit — partition vectors, root-group counts, counters.
-TEST(ShardedEvaluatorTest, MergedShardTranslationsEqualUnsharded) {
-  // Two dimensions over 7 facts: multi-valued, missing, and single values.
-  std::vector<DimensionEncoding> dims(2);
-  dims[0].values = {100, 101, 102};  // domain 3 (+null)
-  dims[0].fact_codes = {{0}, {1, 2}, {}, {0, 1}, {2}, {1}, {0}};
-  dims[1].values = {200, 201, 202, 203};  // domain 4 (+null)
-  dims[1].fact_codes = {{3}, {0}, {1, 2}, {}, {0, 3}, {2}, {}};
-  for (auto& d : dims) {
-    for (const auto& codes : d.fact_codes) {
-      if (codes.size() >= 2) ++d.num_multi_facts;
+// The exactness core of the fact-range split: PrepareLattices translates
+// ascending disjoint ranges and copies each into its place in pre-sized
+// partitions, which must reproduce the one-range translation bit for bit at
+// every range and thread count. Two dimensions over 7 facts: multi-valued,
+// missing, and single values.
+TEST(ShardedEvaluatorTest, PreparedTranslationEqualsOneRangeTranslation) {
+  const std::vector<std::vector<std::vector<int>>> codes = {
+      {{0}, {1, 2}, {}, {0, 1}, {2}, {1}, {0}},   // dim 0: domain 3 (+null)
+      {{3}, {0}, {1, 2}, {}, {0, 3}, {2}, {}}};  // dim 1: domain 4 (+null)
+  Graph g;
+  Dictionary& dict = g.dict();
+  std::vector<TermId> facts;
+  for (int f = 0; f < 7; ++f) {
+    facts.push_back(dict.InternIri("http://x/f" + std::to_string(f)));
+  }
+  auto value = [&](size_t d, int c) {
+    return dict.InternString("d" + std::to_string(d) + "v" + std::to_string(c));
+  };
+  // Interned in code order, so each dimension's sorted term ids are its codes.
+  for (size_t d = 0; d < codes.size(); ++d) {
+    for (int c = 0; c < 4; ++c) value(d, c);
+  }
+  for (size_t d = 0; d < codes.size(); ++d) {
+    TermId property = dict.InternIri("http://x/d" + std::to_string(d));
+    for (size_t f = 0; f < facts.size(); ++f) {
+      for (int c : codes[d][f]) g.Add(facts[f], property, value(d, c));
     }
   }
-  Mmst mmst = Mmst::Build({4, 5}, 2);
+  g.Freeze();
+  AttributeStore db(&g);
+  db.BuildDirectAttributes();
+  CfsIndex cfs(facts);
+  LatticeSpec spec;
+  spec.dims = {*db.FindAttribute("d0"), *db.FindAttribute("d1")};
+  spec.measures = {MeasureSpec{}};
+  MvdCubeOptions options;
+  options.partition_chunk = 2;
 
-  TranslationOptions topt;
-  Translation full = TranslateData(dims, mmst.layout(), topt);
+  MeasureCache one_cache;
+  std::vector<PreparedLattice> one =
+      PrepareLattices(db, cfs, {spec}, options, &one_cache);
+  // The store reproduces the fixture: the same code lists per fact.
+  ASSERT_EQ(one[0].encodings.size(), 2u);
+  for (size_t d = 0; d < codes.size(); ++d) {
+    for (size_t f = 0; f < facts.size(); ++f) {
+      EXPECT_EQ(one[0].encodings[d].fact_codes[f],
+                std::vector<int32_t>(codes[d][f].begin(), codes[d][f].end()));
+    }
+  }
+  const Translation full = TranslateData(
+      one[0].encodings, one[0].mmst.layout(), TranslationOptions());
+  ASSERT_EQ(full.partitions.size(), 6u);  // extents {4, 5}: 2 x 3 chunks of 2
 
-  for (size_t k : {1u, 2u, 3u, 4u, 8u}) {
-    SCOPED_TRACE("num_shards = " + std::to_string(k));
-    std::vector<Translation> partials;
-    for (const FactRange& r : MakeFactShards(7, k)) {
-      TranslationOptions shard_opt;
-      shard_opt.fact_begin = r.begin;
-      shard_opt.fact_end = r.end;
-      partials.push_back(TranslateData(dims, mmst.layout(), shard_opt));
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads - 1);
+    TaskScheduler scheduler(&pool);
+    for (size_t ranges : {1u, 2u, 3u, 4u, 8u}) {
+      SCOPED_TRACE("ranges = " + std::to_string(ranges) +
+                   ", threads = " + std::to_string(threads));
+      MeasureCache cache;
+      std::vector<PreparedLattice> prepared = PrepareLattices(
+          db, cfs, {spec}, options, &cache, &scheduler, ranges);
+      const Translation& got = prepared[0].translation;
+      ASSERT_EQ(got.partitions.size(), full.partitions.size());
+      for (size_t p = 0; p < full.partitions.size(); ++p) {
+        EXPECT_EQ(got.partitions[p], full.partitions[p]) << "partition " << p;
+      }
+      EXPECT_EQ(got.num_facts_translated, full.num_facts_translated);
+      EXPECT_EQ(got.num_dropped_combos, full.num_dropped_combos);
+      EXPECT_TRUE(got.root_group_count.empty());  // filled only to sample
     }
-    Translation merged = MergeShardTranslations(std::move(partials));
-    ASSERT_EQ(merged.partitions.size(), full.partitions.size());
-    for (size_t p = 0; p < full.partitions.size(); ++p) {
-      EXPECT_EQ(merged.partitions[p], full.partitions[p]) << "partition " << p;
-    }
-    EXPECT_EQ(merged.root_group_count.size(), full.root_group_count.size());
-    for (const auto& [cell, count] : full.root_group_count) {
-      auto it = merged.root_group_count.find(cell);
-      ASSERT_NE(it, merged.root_group_count.end());
-      EXPECT_EQ(it->second, count);
-    }
-    EXPECT_EQ(merged.num_facts_translated, full.num_facts_translated);
-    EXPECT_EQ(merged.num_dropped_combos, full.num_dropped_combos);
   }
 }
 
@@ -649,10 +676,12 @@ TEST(ArmStreamTest, BitmapEngineMatchesSetCellReferenceAtEveryWorkerCount) {
       TaskScheduler scheduler(&pool);
       Arm arm(kStoreAll);
       MeasureCache measures;
-      EvaluateLatticeMvd(db, 0, cfs, spec, options, &arm, &measures,
-                         /*pruned=*/nullptr, /*pre_translated=*/nullptr,
-                         /*pre_built=*/nullptr, /*pre_encodings=*/nullptr,
-                         &scheduler, workers);
+      // Prepared over as many fact ranges as there are workers, as the
+      // pipeline's auto range count does.
+      std::vector<PreparedLattice> prepared = PrepareLattices(
+          db, cfs, {spec}, options, &measures, &scheduler, workers);
+      EvaluateLatticeMvd(0, spec, prepared[0], measures, options, &arm,
+                         /*pruned=*/nullptr, &scheduler, workers);
       ExpectSameArmStream(reference, arm);
     }
   }

@@ -99,7 +99,9 @@ TEST(IntegrationTest, SparqlOracleValidatesMvdCubeOnMultiValuedData) {
   spec.measures = {MeasureSpec{kInvalidAttr, sparql::AggFunc::kCount}};
   Arm arm(4096);
   MeasureCache cache;
-  EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions(), &arm, &cache);
+  std::vector<PreparedLattice> prepared =
+      PrepareLattices(db, cfs, {spec}, MvdCubeOptions(), &cache);
+  EvaluateLatticeMvd(0, spec, prepared[0], cache, MvdCubeOptions(), &arm);
 
   auto q = sparql::ParseQuery(
       "SELECT ?a (COUNT(DISTINCT ?cf) AS ?c) WHERE { "

@@ -202,7 +202,15 @@ TEST_F(LatticeTest, TranslationPlacesFactsInAllCombos) {
   for (const auto& p : tr.partitions) total_pairs += p.size();
   // n1: 1 nat x 1 gender x 3 areas = 3 cells; n2: 4 x 1(null) x 2 = 8 cells.
   EXPECT_EQ(total_pairs, 11u);
-  EXPECT_EQ(tr.root_group_count.size(), 11u);  // all distinct cells
+  // Root-group sizes are early-stop's: kept only when sampling.
+  EXPECT_TRUE(tr.root_group_count.empty());
+  Rng rng(7);
+  TranslationOptions sampled;
+  sampled.sample_capacity = 4;
+  sampled.rng = &rng;
+  Translation str = TranslateData(encs, mmst.layout(), sampled);
+  EXPECT_EQ(str.root_group_count.size(), 11u);  // all distinct cells
+  EXPECT_EQ(str.partitions, tr.partitions);
 }
 
 TEST_F(LatticeTest, TranslationComboCapCounts) {

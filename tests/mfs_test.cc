@@ -48,6 +48,14 @@ TEST(MfsTest, RespectsMaxItems) {
   EXPECT_EQ(mfs.size(), 6u);
 }
 
+TEST(MfsTest, RepeatedItemCountsOncePerTransaction) {
+  // Item 1 is in one transaction, listed twice: support 1, not 2.
+  std::vector<std::vector<int>> tx = {{1, 1}, {2}, {2}};
+  auto mfs = MineMaximalFrequentSets(tx, 2, 4);
+  ASSERT_EQ(mfs.size(), 1u);
+  EXPECT_EQ(mfs[0], (std::vector<int>{2}));
+}
+
 TEST(MfsTest, MinSupportOfOne) {
   std::vector<std::vector<int>> tx = {{5}, {7, 9}};
   auto mfs = MineMaximalFrequentSets(tx, 1, 4);

@@ -12,6 +12,7 @@ using testing_helpers::ArmResult;
 using testing_helpers::DimSpec;
 using testing_helpers::MakeRandomAnalysis;
 using testing_helpers::MeasureShape;
+using testing_helpers::PrepareAndEvaluate;
 using testing_helpers::RandomAnalysis;
 using testing_helpers::SameResult;
 
@@ -21,7 +22,7 @@ void ExpectMatchesReference(const RandomAnalysis& ra, int chunk) {
   MvdCubeOptions options;
   options.partition_chunk = chunk;
   MvdCubeStats stats =
-      EvaluateLatticeMvd(*ra.db, 0, *ra.cfs, ra.spec, options, &arm, &cache);
+      PrepareAndEvaluate(*ra.db, *ra.cfs, ra.spec, options, &arm, &cache);
   EXPECT_EQ(stats.num_nodes, size_t{1} << ra.spec.dims.size());
 
   std::vector<AggregateResult> expected =
@@ -68,8 +69,8 @@ TEST(MvdCubeTest, Figure1Example) {
 
   Arm arm;
   MeasureCache cache;
-  EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions{.partition_chunk = 2},
-                     &arm, &cache);
+  PrepareAndEvaluate(db, cfs, spec, MvdCubeOptions{.partition_chunk = 2}, &arm,
+                     &cache);
 
   // count of CEOs by companyArea: Manufacturer -> 2 (not 5, the A4 bug).
   AggregateKey by_area;
@@ -123,8 +124,8 @@ TEST(MvdCubeTest, Variation1SumNetWorth) {
 
   Arm arm;
   MeasureCache cache;
-  EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions{.partition_chunk = 2},
-                     &arm, &cache);
+  PrepareAndEvaluate(db, cfs, spec, MvdCubeOptions{.partition_chunk = 2}, &arm,
+                     &cache);
   AggregateKey key;
   key.cfs_id = 0;
   key.dims = {*db.FindAttribute("area")};
@@ -186,7 +187,7 @@ TEST(MvdCubeTest, SharedNodesEvaluatedOnce) {
   MeasureCache cache;
   MvdCubeOptions options;
   MvdCubeStats first =
-      EvaluateLatticeMvd(*ra.db, 0, *ra.cfs, ra.spec, options, &arm, &cache);
+      PrepareAndEvaluate(*ra.db, *ra.cfs, ra.spec, options, &arm, &cache);
   EXPECT_GT(first.num_mdas_evaluated, 0u);
   EXPECT_EQ(first.num_mdas_reused, 0u);
 
@@ -195,7 +196,7 @@ TEST(MvdCubeTest, SharedNodesEvaluatedOnce) {
   sub.dims = {ra.spec.dims[0]};
   sub.measures = ra.spec.measures;
   MvdCubeStats second =
-      EvaluateLatticeMvd(*ra.db, 0, *ra.cfs, sub, options, &arm, &cache);
+      PrepareAndEvaluate(*ra.db, *ra.cfs, sub, options, &arm, &cache);
   EXPECT_EQ(second.num_mdas_evaluated, 0u);  // {dim0} and {} already done
   EXPECT_EQ(second.num_mdas_reused, sub.measures.size() * 2);
 }
@@ -205,13 +206,12 @@ TEST(MvdCubeTest, MeasureCacheSharedAcrossLattices) {
       MakeRandomAnalysis(7, 100, {{3, 0, 0}, {3, 0, 0}}, {{0, 0}});
   Arm arm;
   MeasureCache cache;
-  EvaluateLatticeMvd(*ra.db, 0, *ra.cfs, ra.spec, MvdCubeOptions(), &arm,
-                     &cache);
+  PrepareAndEvaluate(*ra.db, *ra.cfs, ra.spec, MvdCubeOptions(), &arm, &cache);
   size_t loads_after_first = cache.num_loads();
   LatticeSpec sub;
   sub.dims = {ra.spec.dims[1]};
   sub.measures = ra.spec.measures;
-  EvaluateLatticeMvd(*ra.db, 0, *ra.cfs, sub, MvdCubeOptions(), &arm, &cache);
+  PrepareAndEvaluate(*ra.db, *ra.cfs, sub, MvdCubeOptions(), &arm, &cache);
   EXPECT_EQ(cache.num_loads(), loads_after_first);  // no reload
 }
 
@@ -226,7 +226,7 @@ TEST(MvdCubeTest, PrunedKeysAreSkipped) {
 
   Arm arm;
   MeasureCache cache;
-  MvdCubeStats stats = EvaluateLatticeMvd(*ra.db, 0, *ra.cfs, ra.spec,
+  MvdCubeStats stats = PrepareAndEvaluate(*ra.db, *ra.cfs, ra.spec,
                                           MvdCubeOptions(), &arm, &cache,
                                           &pruned);
   EXPECT_EQ(stats.num_mdas_pruned, 1u);
@@ -238,7 +238,7 @@ TEST(MvdCubeTest, EmptyCfs) {
   CfsIndex empty(std::vector<TermId>{});
   Arm arm;
   MeasureCache cache;
-  MvdCubeStats stats = EvaluateLatticeMvd(*ra.db, 0, empty, ra.spec,
+  MvdCubeStats stats = PrepareAndEvaluate(*ra.db, empty, ra.spec,
                                           MvdCubeOptions(), &arm, &cache);
   EXPECT_EQ(stats.num_groups_emitted, 0u);
 }
@@ -260,7 +260,7 @@ TEST(MvdCubeTest, FactsWithNoDimensionValuesExcluded) {
   spec.measures = {MeasureSpec{*db.FindAttribute("m"), sparql::AggFunc::kSum}};
   Arm arm;
   MeasureCache cache;
-  EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions(), &arm, &cache);
+  PrepareAndEvaluate(db, cfs, spec, MvdCubeOptions(), &arm, &cache);
   AggregateKey key;
   key.cfs_id = 0;
   key.dims = spec.dims;
@@ -317,7 +317,7 @@ TEST(MvdCubeTest, DimensionWithSingleDistinctValue) {
                    MeasureSpec{*db.FindAttribute("m"), sparql::AggFunc::kSum}};
   Arm arm;
   MeasureCache cache;
-  EvaluateLatticeMvd(db, 0, cfs, spec, MvdCubeOptions(), &arm, &cache);
+  PrepareAndEvaluate(db, cfs, spec, MvdCubeOptions(), &arm, &cache);
   for (const auto& ref : EvaluateReference(db, 0, cfs, spec)) {
     EXPECT_TRUE(SameResult(ref, ArmResult(arm, ref.key)));
   }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/core/enumeration.h"
 #include "src/datagen/synthetic.h"
 #include "src/exec/thread_pool.h"
@@ -190,6 +195,50 @@ TEST(AnalyzeAttributesTest, SchedulerMatchesSerialFieldByField) {
       EXPECT_EQ(g.good_measure, e.good_measure);
     }
   }
+}
+
+TEST(EnumerateLatticesTest, DimensionSetsAreTheFactsMaximalFrequentSets) {
+  // 20 facts at min support 10: `a` on every fact, `b` on facts 0-9 (its
+  // support is exactly the threshold), `c` on facts 5-19. {a, b} and {a, c}
+  // are frequent and maximal; {b, c} holds on 5 facts only. A fact lost
+  // from any dimension's tidset would drop {a, b}.
+  Graph g;
+  Dictionary& dict = g.dict();
+  std::vector<TermId> facts;
+  for (int f = 0; f < 20; ++f) {
+    facts.push_back(dict.InternIri("http://x/f" + std::to_string(f)));
+  }
+  auto add = [&](const char* property, int first, int last) {
+    TermId p = dict.InternIri(std::string("http://x/") + property);
+    for (int f = first; f <= last; ++f) {
+      g.Add(facts[f], p, dict.InternString(f % 2 == 0 ? "even" : "odd"));
+    }
+  };
+  add("a", 0, 19);
+  add("b", 0, 9);
+  add("c", 5, 19);
+  g.Freeze();
+  AttributeStore db(&g);
+  db.BuildDirectAttributes();
+  std::vector<AttrStats> offline;
+  for (AttrId a = 0; a < db.num_attributes(); ++a) {
+    offline.push_back(ComputeAttrStats(db, a));
+  }
+  CfsIndex cfs(facts);
+  EnumerationOptions options;
+  options.min_support_ratio = 0.5;
+  const CfsAnalysis analysis = AnalyzeAttributes(db, cfs, offline, options);
+  std::vector<LatticeSpec> lattices =
+      EnumerateLattices(db, cfs, analysis, offline, options);
+
+  const AttrId a = *db.FindAttribute("a");
+  const AttrId b = *db.FindAttribute("b");
+  const AttrId c = *db.FindAttribute("c");
+  const std::set<std::vector<AttrId>> want = {
+      {std::min(a, b), std::max(a, b)}, {std::min(a, c), std::max(a, c)}};
+  std::set<std::vector<AttrId>> got;
+  for (const LatticeSpec& spec : lattices) got.insert(spec.dims);
+  EXPECT_EQ(got, want);
 }
 
 TEST(LooksLikeDateTest, Various) {

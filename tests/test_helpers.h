@@ -2,11 +2,13 @@
 #define SPADE_TESTS_TEST_HELPERS_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/aggregate.h"
 #include "src/core/arm.h"
+#include "src/core/mvdcube.h"
 #include "src/core/reference.h"
 #include "src/rdf/graph.h"
 #include "src/store/attribute_store.h"
@@ -104,6 +106,17 @@ inline RandomAnalysis MakeRandomAnalysis(uint64_t seed, size_t num_facts,
     }
   }
   return out;
+}
+
+/// MVDCube's two steps on one lattice of CFS 0: PrepareLattices (one fact
+/// range, inline) into `cache`, then EvaluateLatticeMvd.
+inline MvdCubeStats PrepareAndEvaluate(
+    const AttributeStore& db, const CfsIndex& cfs, const LatticeSpec& spec,
+    const MvdCubeOptions& options, Arm* arm, MeasureCache* cache,
+    const std::set<AggregateKey>* pruned = nullptr) {
+  std::vector<PreparedLattice> prepared =
+      PrepareLattices(db, cfs, {spec}, options, cache);
+  return EvaluateLatticeMvd(0, spec, prepared[0], *cache, options, arm, pruned);
 }
 
 /// Extract one MDA's result from the ARM in the reference layout.

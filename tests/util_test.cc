@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -165,6 +169,63 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(v, -1000);
   EXPECT_FALSE(ParseDouble("12x", &v));
   EXPECT_FALSE(ParseDouble("", &v));
+}
+
+// The reference ParseDouble is pinned to: strtod on a copy of the trimmed
+// string, accepted only when it consumes every character.
+bool StrtodReference(const std::string& s, double* out) {
+  std::string trimmed(Trim(s));
+  if (trimmed.empty()) return false;
+  char* end = nullptr;
+  *out = std::strtod(trimmed.c_str(), &end);
+  return end == trimmed.c_str() + trimmed.size();
+}
+
+void ExpectSameAsStrtod(const std::string& s) {
+  SCOPED_TRACE("input \"" + s + "\"");
+  double want = 0;
+  double got = 0;
+  const bool want_ok = StrtodReference(s, &want);
+  ASSERT_EQ(ParseDouble(s, &got), want_ok);
+  if (!want_ok) return;
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got));
+    return;
+  }
+  uint64_t want_bits = 0;
+  uint64_t got_bits = 0;
+  std::memcpy(&want_bits, &want, sizeof(want));
+  std::memcpy(&got_bits, &got, sizeof(got));
+  EXPECT_EQ(got_bits, want_bits);
+}
+
+TEST(StringUtilTest, ParseDoubleMatchesStrtodBitForBit) {
+  for (const char* s :
+       {"+5", "0x1p3", " 2.5 ", "1e400", "-1e400", "1e-320", "1e-400", "-0",
+        "inf", "-inf", "+inf", "infinity", "nan", "-nan", "1.", ".5", "1e",
+        "1,5", "", " ", "-", ".", "e5", "12x", "0", "007", "1E+05", "-.5e-3",
+        "4.9406564584124654e-324", "1.7976931348623157e308",
+        "2.2250738585072011e-308", "0.1000000000000000055511151231257827",
+        "123456789012345678901234567890"}) {
+    ExpectSameAsStrtod(s);
+  }
+  Rng rng(20261018);
+  char buf[512];  // "%.3f" of 1e308 prints 313 characters
+  for (int i = 0; i < 3000; ++i) {
+    // Spread the magnitudes over the whole double range: random bits,
+    // reinterpreted, skipping NaN and infinity patterns.
+    uint64_t bits = rng.Next();
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (!std::isfinite(d)) continue;
+    for (const char* format : {"%.17g", "%g", "%.3f"}) {
+      std::snprintf(buf, sizeof(buf), format, d);
+      ExpectSameAsStrtod(buf);
+    }
+    // Values in the range measures take: a few decimal digits.
+    std::snprintf(buf, sizeof(buf), "%.17g", rng.NextGaussian() * 1e4);
+    ExpectSameAsStrtod(buf);
+  }
 }
 
 TEST(StringUtilTest, FormatDouble) {

@@ -11,8 +11,6 @@
 //                                                               (default mvdcube)
 //   --threads N          worker threads (online phase and streaming ingest);
 //                        0 = all cores                        (default 0)
-//   --shards N           fact-id-range shards per CFS; 0 = one per thread
-//                        (default 0; >1 needs mvdcube without --earlystop)
 //   --simd M             measure-fold kernel: auto = runtime CPU dispatch
 //                        (AVX2/NEON when available), scalar = portable
 //                        kernel; results bit-identical     (default auto)
@@ -100,7 +98,7 @@ int Usage() {
   std::cerr << "usage: spade_cli DATA(.nt|.ttl|.csv) [--top K] "
                "[--interestingness variance|skewness|kurtosis]\n"
                "                 [--algorithm mvdcube|pgcube|pgcube-distinct|"
-               "arraycube] [--threads N] [--shards N] [--simd auto|scalar]\n"
+               "arraycube] [--threads N] [--simd auto|scalar]\n"
                "                 [--stream-ingest] [--ingest-chunk N] "
                "[--earlystop] [--no-derivations]\n"
                "                 [--saturate] [--max-dims N] "
@@ -189,13 +187,6 @@ int main(int argc, char** argv) {
         return Fail("--threads needs an integer in [0, 1024] (0 = all cores)");
       }
       options.num_threads = static_cast<size_t>(n);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      int64_t n;
-      if (v == nullptr || !spade::ParseInt64(v, &n) || n < 0 || n > 1024) {
-        return Fail("--shards needs an integer in [0, 1024] (0 = auto)");
-      }
-      options.num_shards = static_cast<size_t>(n);
     } else if (arg == "--simd") {
       const char* v = next();
       if (v == nullptr || !spade::simd::ParseSimdMode(spade::ToLower(v),
@@ -468,11 +459,11 @@ int main(int argc, char** argv) {
             << (report.num_threads_used == 1 ? "" : "s") << ", "
             << report.simd_kernel << " fold)";
   if (!report.shard_fact_counts.empty()) {
-    std::cerr << "; " << report.num_shards_used << " shards/CFS [";
+    std::cerr << "; " << report.num_shards_used << " fact ranges/CFS [";
     for (size_t s = 0; s < report.shard_fact_counts.size(); ++s) {
       std::cerr << (s == 0 ? "" : "/") << report.shard_fact_counts[s];
     }
-    std::cerr << " facts], merge "
+    std::cerr << " facts], sizing "
               << spade::FormatDouble(report.shard_merge_ms, 1) << " ms";
   }
   if (report.ingest.num_chunks > 0) {
