@@ -2,7 +2,7 @@
 // snapshot vs a full re-ingest, plus sustained serve-mode throughput.
 //
 // The corpus is the bench_ingest shape (multi-type synthetic graph
-// serialized as N-Triples, ~21 MiB at the default scale). Three phases:
+// serialized as N-Triples, ~132 MiB at the default scale). Three phases:
 //
 //   reingest    parse + offline phase + fact-set selection + one explore
 //               request — the build-every-morning cold start

@@ -144,10 +144,10 @@ class RoaringBitmap {
   /// (reserved then resized to the O(1) cached Cardinality(), so the buffer
   /// makes at most one exact-size allocation — no geometric regrowth). One
   /// tight per-container fill loop; the caller then iterates a dense uint32
-  /// span. This is the span feeder of the measure-fold kernels
-  /// (src/simd/measure_fold.h): the whole cell as ONE dense strictly
-  /// ascending block, so the kernels' lane striding is a pure function of
-  /// the stored set, independent of container/inline layout.
+  /// span. This is the span feeder of the measure fold (FoldMeasure in
+  /// src/store/preagg.h): the whole cell as ONE dense strictly ascending
+  /// block, so the fold's lane striding is a pure function of the stored
+  /// set, independent of container/inline layout.
   void DecodeInto(std::vector<uint32_t>* out) const;
 
   /// Block-cursor decode: for each container (and for the inline set),

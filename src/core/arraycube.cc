@@ -1,7 +1,6 @@
 #include "src/core/arraycube.h"
 
 #include "src/core/reference.h"
-#include "src/simd/measure_fold.h"
 
 #include <cassert>
 #include <algorithm>
@@ -24,10 +23,10 @@ struct ValueCell {
   double count_star = 0;
   /// Root fact buffer (strictly ascending: translation emits facts in id
   /// order and a fact's distinct value combinations land in distinct
-  /// cells). Folded lazily through the shared measure-fold kernel
-  /// (src/simd) on first merge/emit, then dropped — ArrayCube's root fold
-  /// is the same gather-accumulate the MVDCube emit runs, so both
-  /// algorithms vectorize through one kernel.
+  /// cells). Folded lazily through FoldMeasure (src/store/preagg.h) on
+  /// first merge/emit, then dropped — ArrayCube's root fold is the same
+  /// gather-accumulate the MVDCube emit runs, so both algorithms share one
+  /// fold.
   std::vector<uint32_t> facts;
   bool folded = false;
   std::vector<ValueAcc> accs;  ///< one per measure attribute
@@ -70,32 +69,25 @@ std::vector<AggregateResult> EvaluateLatticeArrayCube(
   // Group accumulators per (node mask, dim values).
   std::map<std::pair<uint32_t, std::vector<TermId>>, ValueCell> collected;
 
-  const simd::FoldKernel fold_kernel = simd::ResolveFoldKernel(options.simd);
-
   CubeScaffold<ValueCell> scaffold(&mmst);
   auto load = [&](ValueCell* cell, FactId fact) {
     // Root loading = one relational join row: the fact joins the cell once
     // per dimension-value combination. Only the fact id is recorded here;
-    // the measure gather-accumulate is deferred so it runs as one
-    // kernel-call fold per (cell, measure attr).
+    // the measure gather-accumulate is deferred so it runs as one fold per
+    // (cell, measure attr).
     assert(cell->facts.empty() || fact > cell->facts.back());
     cell->count_star += 1;
     cell->facts.push_back(fact);
   };
   // Fold a root cell's fact buffer into value accumulators via the shared
-  // kernel, then drop the buffer. Idempotent; cells that only ever received
+  // fold, then drop the buffer. Idempotent; cells that only ever received
   // merges (every non-root node) have no buffer and fold to identity accs.
   auto fold_cell = [&](ValueCell* cell) {
     if (cell->folded) return;
     cell->folded = true;
     cell->accs.assign(measure_attrs.size(), ValueAcc());
-    simd::FoldAcc lanes;
     for (size_t a = 0; a < measure_attrs.size(); ++a) {
-      const MeasureVector& mv = *loaded[a];
-      lanes.Reset();
-      fold_kernel.fn(cell->facts.data(), cell->facts.size(), mv.count.data(),
-                     mv.sum.data(), mv.min.data(), mv.max.data(), &lanes);
-      const simd::FoldResult r = simd::Reduce(lanes);
+      const FoldResult r = FoldMeasure(cell->facts, *loaded[a]);
       cell->accs[a] = ValueAcc{r.count, r.sum, r.min, r.max};
     }
     cell->facts.clear();

@@ -10,6 +10,11 @@
 
 namespace spade {
 
+/// The largest `max_dims` the CLI's --max-dims and the serve grammar's
+/// max-dims= accept. A lattice over N dimensions has 2^N nodes, and the
+/// lattice code assumes small N.
+constexpr size_t kMaxLatticeDims = 4;
+
 /// Rules of Aggregate Enumeration (Section 3, step 3).
 struct EnumerationOptions {
   /// Rule (a-i): dimensions and measures must be frequent.

@@ -179,7 +179,7 @@ Translation TranslateData(const std::vector<DimensionEncoding>& dims,
 ///
 /// `merge`'s src is passed as a MUTABLE lvalue, so a MergeFn may take
 /// `Cell&` and normalize src in place — ArrayCube uses this to lazily fold
-/// root fact buffers through the measure-fold kernels on first touch. The
+/// root fact buffers through the measure fold on first touch. The
 /// same src cell is merged into every child and then emitted before the
 /// scaffold resets it, so mutations must preserve the cell's logical value
 /// (convert representation, don't consume). Functors taking `const Cell&`

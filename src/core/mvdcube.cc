@@ -161,7 +161,7 @@ struct NodeMda {
 };
 
 /// Value of a non-count(*) MDA over one group, from its column's fold.
-double FoldedValue(sparql::AggFunc func, const simd::FoldResult& acc) {
+double FoldedValue(sparql::AggFunc func, const FoldResult& acc) {
   switch (func) {
     case sparql::AggFunc::kCount:
       return acc.count;
@@ -296,10 +296,8 @@ MvdCubeStats EvaluateLatticeMvd(uint32_t cfs_id, const LatticeSpec& spec,
 
   // --- Per-node fold plan, built once outside the emit: the distinct
   // measure columns each node touches. The emit then runs one task per
-  // (node, distinct attr) and one kernel call per group in it, however many
-  // MDAs (count/sum/avg/min/max) share the column.
-  const simd::FoldKernel fold_kernel = simd::ResolveFoldKernel(options.simd);
-  stats.fold_kernel = fold_kernel.kind;
+  // (node, distinct attr) and one fold per group in it, however many MDAs
+  // (count/sum/avg/min/max) share the column.
   std::vector<std::vector<const MeasureVector*>> node_slots(num_nodes);
   for (uint32_t mask = 0; mask < num_nodes; ++mask) {
     for (NodeMda& mda : node_mdas[mask]) {
@@ -419,7 +417,6 @@ MvdCubeStats EvaluateLatticeMvd(uint32_t cfs_id, const LatticeSpec& spec,
     std::vector<TermId> dim_values;
     dim_values.reserve(n);
     std::vector<uint32_t> fact_span;  ///< full-cell decode buffer, reused
-    simd::FoldAcc fold_acc;
     size_t emitted = 0;
     for (size_t g = 0; g < admitted[task.mask]; ++g) {
       // A deadline read per group would cost a clock read each; every
@@ -441,17 +438,13 @@ MvdCubeStats EvaluateLatticeMvd(uint32_t cfs_id, const LatticeSpec& spec,
         emitted += task.mdas.size();
         continue;
       }
-      // One full-cell decode feeds this column's kernel call (the ⊗ of
-      // Figure 5, Section 4.3's intersect-and-fold). The span is the
-      // group's sorted fact-id set — a pure function of the group,
-      // independent of how the bitmap was assembled — and the kernel's lane
-      // order is fixed, so the folded values are bit-identical at every
-      // thread/shard/worker/kernel configuration.
+      // One full-cell decode feeds this column's fold (the ⊗ of Figure 5,
+      // Section 4.3's intersect-and-fold). The span is the group's sorted
+      // fact-id set — a pure function of the group, independent of how the
+      // bitmap was assembled — and the fold's lane order is fixed, so the
+      // folded values are bit-identical at every thread/shard/worker count.
       cell.facts.DecodeInto(&fact_span);
-      fold_acc.Reset();
-      fold_kernel.fn(fact_span.data(), fact_span.size(), mv->count.data(),
-                     mv->sum.data(), mv->min.data(), mv->max.data(), &fold_acc);
-      const simd::FoldResult acc = simd::Reduce(fold_acc);
+      const FoldResult acc = FoldMeasure(fact_span, *mv);
       if (acc.count == 0) continue;  // no fact in the group has the measure
       for (const NodeMda& mda : task.mdas) {
         arm->AddGroup(mda.handle, dim_values,

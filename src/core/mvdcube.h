@@ -7,7 +7,6 @@
 
 #include "src/core/arm.h"
 #include "src/core/lattice.h"
-#include "src/simd/measure_fold.h"
 #include "src/store/preagg.h"
 #include "src/util/rng.h"
 
@@ -41,11 +40,6 @@ struct MvdCubeOptions {
   int partition_chunk = 16;
   /// Cap on cells a single fact may occupy (multi-value cross product).
   size_t max_combos_per_fact = 4096;
-  /// Measure-fold kernel selection (src/simd): kAuto dispatches to the best
-  /// kernel the CPU supports, kScalar forces the portable lane-strided
-  /// kernel. Bit-identical results either way — this knob only exists for
-  /// the differential tests, the CI dispatch-independence job, and benches.
-  simd::SimdMode simd = simd::SimdMode::kAuto;
   /// Resident-bitmap budget for one CFS, in bytes; 0 = unlimited. Checked in
   /// the emit's serial canonical pre-pass against the running
   /// bitmap_bytes_peak sum (plus
@@ -77,8 +71,6 @@ struct MvdCubeStats {
   /// groups after the cut are counted in num_groups_skipped, not emitted.
   bool budget_truncated = false;
   size_t num_groups_skipped = 0;
-  /// Measure-fold kernel the dispatcher picked (scalar / avx2 / neon).
-  simd::FoldKernelKind fold_kernel = simd::FoldKernelKind::kScalar;
   /// Partition-parallel lattice computation (ParallelLatticeRun).
   ParallelLatticeStats lattice;
 };

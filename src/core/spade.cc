@@ -503,8 +503,6 @@ Result<ExploreOutcome> Spade::ExploreInto(const ExploreRequest& request,
   TaskScheduler serial(nullptr);
   TaskScheduler* sched = scheduler != nullptr ? scheduler : &serial;
   report->num_threads_used = sched->num_threads();
-  report->simd_kernel =
-      simd::FoldKernelKindName(simd::ResolveFoldKernel(opts.mvd.simd).kind);
   // Within-CFS sharding: auto means one shard per worker, so a lone large
   // CFS can still occupy the whole pool. Ineligible configurations resolve
   // to 1 (same rule the factory dispatches on), so the report never claims

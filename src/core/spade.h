@@ -168,10 +168,6 @@ struct SpadeReport {
   size_t num_groups_emitted = 0;  ///< group tuples streamed into the ARM
   size_t num_threads_used = 1;    ///< resolved online-phase worker count
   size_t num_shards_used = 1;     ///< resolved within-CFS range count
-  /// Measure-fold kernel the runtime dispatcher picked for the online phase
-  /// ("scalar" / "avx2" / "neon"); results are bit-identical across kernels,
-  /// this reports what actually ran (--simd / SpadeOptions::mvd.simd).
-  const char* simd_kernel = "scalar";
   /// Facts owned by each fact-id range, summed over the CFS evaluations
   /// that split into several (empty when every CFS used one range).
   std::vector<size_t> shard_fact_counts;

@@ -95,7 +95,10 @@ std::string ApplyToken(const std::string& token, ExploreRequest* req) {
   }
   if (key == "max-dims") {
     size_t n = 0;
-    if (!ParseSize(value, &n) || n == 0) return "bad max-dims '" + value + "'";
+    if (!ParseSize(value, &n) || n == 0 || n > kMaxLatticeDims) {
+      return "bad max-dims '" + value + "' (want an integer in [1, " +
+             std::to_string(kMaxLatticeDims) + "])";
+    }
     req->max_dims = n;
     return "";
   }

@@ -59,7 +59,7 @@ struct ServeStats {
 ///
 ///   explore [cfs=NAME[,NAME...]] [top=K] [interestingness=variance|skewness|
 ///           kurtosis] [algorithm=mvdcube|pgcube|pgcube-distinct|arraycube]
-///           [earlystop=on|off] [max-dims=N] [min-support=R]
+///           [earlystop=on|off] [max-dims=1..4] [min-support=R]
 ///       -> `ok <n>` then one line per insight:
 ///          `<rank> <score> <cfs_name> <description>` then `end`
 ///   list    -> `ok <n>` then `<name> <size>` per fact set, then `end`

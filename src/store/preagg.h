@@ -1,9 +1,11 @@
 #ifndef SPADE_STORE_PREAGG_H_
 #define SPADE_STORE_PREAGG_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/store/attribute_store.h"
+#include "src/util/span.h"
 
 namespace spade {
 
@@ -61,6 +63,50 @@ struct MeasureFillFlags {
 MeasureFillFlags FillMeasureVectorRange(const AttributeStore& db,
                                         const CfsIndex& cfs, AttrId attr,
                                         FactRange range, MeasureVector* mv);
+
+/// \brief The group fold over per-fact slots (Section 4.3's measure fold,
+/// the ⊗ of Figure 5): a group's count/sum/min/max from the slots of its
+/// facts, each fact counted once.
+///
+/// The accumulation order is fixed, and it is the spec the ARM stream and
+/// every bit-identity pin are checked against. Element i of the fact span
+/// (its rank across the whole span) lands in lane i mod kFoldLanes, and
+/// Reduce combines the lanes in ascending order, ((l0 ⊗ l1) ⊗ l2) ⊗ l3.
+/// The span a group hands in is its sorted fact-id set, which does not
+/// depend on the thread, shard or worker count, so neither do the bits.
+/// A fact with count 0 (measure missing) adds the fold identity to its
+/// lane: +0.0 to count and sum, +inf / -inf to min / max. Min and max use
+/// the comparison form `acc < v ? acc : v`, per lane and in Reduce.
+
+/// Accumulator lanes of the fold.
+constexpr size_t kFoldLanes = 4;
+
+/// Lane-strided accumulator state.
+struct FoldAcc {
+  double count[kFoldLanes];
+  double sum[kFoldLanes];
+  double min[kFoldLanes];
+  double max[kFoldLanes];
+
+  /// Reset every lane to the fold identity (0, 0, +inf, -inf).
+  void Reset();
+};
+
+/// One group's folded measure.
+struct FoldResult {
+  double count = 0;
+  double sum = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// Combine the lanes of `acc` in ascending order.
+FoldResult Reduce(const FoldAcc& acc);
+
+/// Fold the slots of `facts` (each < mv.size()) in lane-strided order and
+/// reduce. Per-fact counts must be < 2^31: the count converts through
+/// int32_t.
+FoldResult FoldMeasure(Span<FactId> facts, const MeasureVector& mv);
 
 }  // namespace spade
 

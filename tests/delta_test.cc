@@ -8,8 +8,8 @@
 // mutated triple set — full canonical ARM stream (every MDA, every group,
 // exact values), representation-independent report counters, and the
 // DeltaReport's batch accounting against the mirror's own set arithmetic.
-// Eight configurations (threads {1,4} x shards {1,4} x simd {auto,scalar})
-// run the same mutation sequence and must stay bit-identical to each other.
+// Four configurations (threads {1,4} x shards {1,4}) run the same mutation
+// sequence and must stay bit-identical to each other.
 //
 // The comparison is canonical (term-level) because a long-lived dictionary
 // and a fresh one assign different TermIds to the same logical graph; the
@@ -390,13 +390,11 @@ std::vector<size_t> ReportFacts(const SpadeReport& r) {
 struct Config {
   size_t threads;
   size_t shards;
-  simd::SimdMode simd;
 };
 
 std::string ConfigName(const Config& c) {
   return "threads=" + std::to_string(c.threads) +
-         " shards=" + std::to_string(c.shards) + " simd=" +
-         (c.simd == simd::SimdMode::kAuto ? "auto" : "scalar");
+         " shards=" + std::to_string(c.shards);
 }
 
 TEST(DeltaDifferentialTest, MutationBatchesMatchFreshRebuildAcrossConfigs) {
@@ -407,18 +405,12 @@ TEST(DeltaDifferentialTest, MutationBatchesMatchFreshRebuildAcrossConfigs) {
   Rng rng(seed);
   LSet cur = InitialUniverse(&rng);
 
-  const std::vector<Config> configs = {
-      {1, 1, simd::SimdMode::kAuto},   {1, 4, simd::SimdMode::kAuto},
-      {4, 1, simd::SimdMode::kAuto},   {4, 4, simd::SimdMode::kAuto},
-      {1, 1, simd::SimdMode::kScalar}, {1, 4, simd::SimdMode::kScalar},
-      {4, 1, simd::SimdMode::kScalar}, {4, 4, simd::SimdMode::kScalar},
-  };
+  const std::vector<Config> configs = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
   std::vector<Pipeline> pipelines;
   for (const Config& c : configs) {
     SpadeOptions o = HarnessOptions();
     o.num_threads = c.threads;
     o.num_shards = c.shards;
-    o.mvd.simd = c.simd;
     o.enable_incremental = true;
     pipelines.push_back(MakePipeline(cur, std::move(o)));
     ASSERT_TRUE(pipelines.back().spade->RunOffline().ok());
@@ -461,7 +453,7 @@ TEST(DeltaDifferentialTest, MutationBatchesMatchFreshRebuildAcrossConfigs) {
       insights[i] = std::move(*got);
     }
 
-    // Cross-config: the eight pipelines share one intern history, so their
+    // Cross-config: the four pipelines share one intern history, so their
     // results must be bit-identical — ids, scores and all.
     const CanonArm arm0 = DumpArm(*pipelines[0].spade, *pipelines[0].graph);
     for (size_t i = 1; i < pipelines.size(); ++i) {

@@ -419,15 +419,12 @@ TEST(ShardedPipelineTest, AutoShardsFollowResolvedThreads) {
 // --- Partition-parallel lattice computation -------------------------------
 
 // The acceptance contract of the parallel lattice: bit-identical top-k
-// insights across every (threads, shards, simd) combination — the lattice
-// worker count follows the resolved thread count, so this matrix exercises
-// lattice workers {1, 2, 4, 8} x shards {1, 2, 4} x fold kernel
-// {dispatched, forced-scalar}. partition_chunk = 2 forces many partitions
-// per lattice, so multi-slice runs really happen (the default chunk of 16
-// often leaves small lattices with a single partition). The serial baseline
-// runs with the scalar kernel, so on AVX2/NEON hosts every 'auto' run is a
-// genuine scalar-vs-vector bit comparison.
-TEST(LatticeParallelPipelineTest, ManyPartitionsBitIdenticalAcrossWorkersShardsAndSimd) {
+// insights across every (threads, shards) combination — the lattice worker
+// count follows the resolved thread count, so this matrix exercises lattice
+// workers {1, 2, 4, 8} x shards {1, 2, 4}. partition_chunk = 2 forces many
+// partitions per lattice, so multi-slice runs really happen (the default
+// chunk of 16 often leaves small lattices with a single partition).
+TEST(LatticeParallelPipelineTest, ManyPartitionsBitIdenticalAcrossWorkersAndShards) {
   SyntheticOptions sopts;
   sopts.num_facts = 3000;
   sopts.dim_cardinality = {40, 25, 12};
@@ -437,23 +434,18 @@ TEST(LatticeParallelPipelineTest, ManyPartitionsBitIdenticalAcrossWorkersShardsA
   SpadeOptions options = BaseOptions();
   options.mvd.partition_chunk = 2;
   options.num_shards = 1;
-  options.mvd.simd = simd::SimdMode::kScalar;
   auto baseline_graph = make_graph();
   RunOutcome serial = RunPipeline(baseline_graph.get(), options, 1);
   EXPECT_FALSE(serial.insights.empty());
-  for (simd::SimdMode mode : {simd::SimdMode::kAuto, simd::SimdMode::kScalar}) {
-    for (size_t shards : {1u, 2u, 4u}) {
-      for (size_t threads : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE(std::string("simd = ") + simd::SimdModeName(mode) +
-                     ", num_shards = " + std::to_string(shards));
-        options.mvd.simd = mode;
-        options.num_shards = shards;
-        auto graph = make_graph();
-        RunOutcome parallel = RunPipeline(graph.get(), options, threads);
-        ExpectIdentical(serial, parallel, threads);
-        EXPECT_GE(parallel.report.lattice_workers_used, 1u);
-        EXPECT_LE(parallel.report.lattice_workers_used, threads);
-      }
+  for (size_t shards : {1u, 2u, 4u}) {
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("num_shards = " + std::to_string(shards));
+      options.num_shards = shards;
+      auto graph = make_graph();
+      RunOutcome parallel = RunPipeline(graph.get(), options, threads);
+      ExpectIdentical(serial, parallel, threads);
+      EXPECT_GE(parallel.report.lattice_workers_used, 1u);
+      EXPECT_LE(parallel.report.lattice_workers_used, threads);
     }
   }
 }
@@ -544,7 +536,6 @@ void EvaluateLatticeWithSetCells(const AttributeStore& db, uint32_t cfs_id,
     }
     return true;
   };
-  using Acc = simd::FoldResult;
   std::vector<TermId> dim_values;
   auto emit = [&](uint32_t mask, Span<int32_t> coords, const SetRefCell& cell) {
     dim_values.clear();
@@ -553,20 +544,13 @@ void EvaluateLatticeWithSetCells(const AttributeStore& db, uint32_t cfs_id,
       dim_values.push_back(encodings[d].values[coords[d]]);
     }
     // std::set iterates ascending — the same span the bitmap decodes. The
-    // fold goes through the (portable) scalar kernel: the engine's fixed
-    // lane-strided fold order IS the spec now, and the engine must hit it
-    // bit-exactly from set cells at every worker/shard/simd configuration.
+    // fold's fixed lane-strided order is the spec, and the engine must hit
+    // it bit-exactly from set cells at every worker/shard configuration.
     std::vector<uint32_t> span(cell.facts.begin(), cell.facts.end());
-    std::vector<Acc> accs(spec.measures.size());
-    simd::FoldAcc lanes;
+    std::vector<FoldResult> accs(spec.measures.size());
     for (size_t m = 0; m < spec.measures.size(); ++m) {
       if (spec.measures[m].is_count_star()) continue;
-      const MeasureVector& mv = loaded[m];
-      lanes.Reset();
-      simd::FoldMeasureScalar(span.data(), span.size(), mv.count.data(),
-                              mv.sum.data(), mv.min.data(), mv.max.data(),
-                              &lanes);
-      accs[m] = simd::Reduce(lanes);
+      accs[m] = FoldMeasure(span, loaded[m]);
     }
     for (const auto& [m, handle] : node_mdas[mask]) {
       const MeasureSpec& ms = spec.measures[m];
@@ -574,7 +558,7 @@ void EvaluateLatticeWithSetCells(const AttributeStore& db, uint32_t cfs_id,
       if (ms.is_count_star()) {
         value = static_cast<double>(cell.facts.size());
       } else {
-        const Acc& acc = accs[m];
+        const FoldResult& acc = accs[m];
         if (acc.count == 0) continue;
         switch (ms.func) {
           case sparql::AggFunc::kCount:
@@ -664,26 +648,19 @@ TEST(ArmStreamTest, BitmapEngineMatchesSetCellReferenceAtEveryWorkerCount) {
 
   MvdCubeOptions options;
   options.partition_chunk = kChunk;
-  // simd axis: the reference folded through the scalar kernel, so the kAuto
-  // leg pins the dispatched vector kernel (AVX2 here, NEON on ARM) to the
-  // exact same bits — the no-tolerance scalar-vs-SIMD contract, end to end.
-  for (simd::SimdMode mode : {simd::SimdMode::kScalar, simd::SimdMode::kAuto}) {
-    for (size_t workers : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string("simd = ") + simd::SimdModeName(mode) +
-                   ", workers = " + std::to_string(workers));
-      options.simd = mode;
-      ThreadPool pool(workers);
-      TaskScheduler scheduler(&pool);
-      Arm arm(kStoreAll);
-      MeasureCache measures;
-      // Prepared over as many fact ranges as there are workers, as the
-      // pipeline's auto range count does.
-      std::vector<PreparedLattice> prepared = PrepareLattices(
-          db, cfs, {spec}, options, &measures, &scheduler, workers);
-      EvaluateLatticeMvd(0, spec, prepared[0], measures, options, &arm,
-                         /*pruned=*/nullptr, &scheduler, workers);
-      ExpectSameArmStream(reference, arm);
-    }
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("workers = " + std::to_string(workers));
+    ThreadPool pool(workers);
+    TaskScheduler scheduler(&pool);
+    Arm arm(kStoreAll);
+    MeasureCache measures;
+    // Prepared over as many fact ranges as there are workers, as the
+    // pipeline's auto range count does.
+    std::vector<PreparedLattice> prepared = PrepareLattices(
+        db, cfs, {spec}, options, &measures, &scheduler, workers);
+    EvaluateLatticeMvd(0, spec, prepared[0], measures, options, &arm,
+                       /*pruned=*/nullptr, &scheduler, workers);
+    ExpectSameArmStream(reference, arm);
   }
 }
 

@@ -1,22 +1,22 @@
-// Differential tests of the measure-fold kernels (src/simd): the dispatched
-// kernel (AVX2 / NEON / scalar, whatever this CPU resolves) must be
-// BIT-identical to the portable scalar kernel — no tolerance anywhere — on
-// spans drawn from every bitmap representation (inline small set, array,
-// run, bitset containers), at block-boundary sizes, and with facts whose
-// measure is missing (count == 0). Plus value-level checks against a naive
-// reference, and the fixed reduction-order contract.
+// Tests of the measure fold (FoldMeasure in src/store/preagg.h): value-level
+// checks against a naive sequential fold on spans drawn from every bitmap
+// representation (inline small set, array, run, bitset containers), at
+// lane-boundary sizes, and with facts whose measure is missing
+// (count == 0); plus bit-level pins of the fixed lane and reduction order
+// that the ARM stream is checked against.
 
-#include "src/simd/measure_fold.h"
+#include "src/store/preagg.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/bitmap/roaring.h"
-#include "src/store/preagg.h"
 #include "src/util/rng.h"
 
 namespace spade {
@@ -31,7 +31,7 @@ uint64_t Bits(double d) {
 }
 
 // Bitwise equality — EXPECT_EQ on doubles would accept -0.0 == +0.0.
-void ExpectBitEqual(const simd::FoldResult& a, const simd::FoldResult& b) {
+void ExpectBitEqual(const FoldResult& a, const FoldResult& b) {
   EXPECT_EQ(Bits(a.count), Bits(b.count));
   EXPECT_EQ(Bits(a.sum), Bits(b.sum));
   EXPECT_EQ(Bits(a.min), Bits(b.min));
@@ -56,21 +56,11 @@ MeasureVector MakeMeasures(size_t universe, uint64_t seed) {
   return mv;
 }
 
-simd::FoldResult RunKernel(simd::MeasureFoldFn fn,
-                           const std::vector<uint32_t>& span,
-                           const MeasureVector& mv) {
-  simd::FoldAcc acc;
-  acc.Reset();
-  fn(span.data(), span.size(), mv.count.data(), mv.sum.data(), mv.min.data(),
-     mv.max.data(), &acc);
-  return simd::Reduce(acc);
-}
-
-// Naive sequential reference (the pre-kernel fold): value-level ground
-// truth the lane-strided result must match within reordering error.
-simd::FoldResult NaiveFold(const std::vector<uint32_t>& span,
-                           const MeasureVector& mv) {
-  simd::FoldResult r;
+// Naive sequential reference: value-level ground truth the lane-strided
+// result must match within reordering error.
+FoldResult NaiveFold(const std::vector<uint32_t>& span,
+                     const MeasureVector& mv) {
+  FoldResult r;
   r.min = kInf;
   r.max = -kInf;
   for (uint32_t f : span) {
@@ -83,30 +73,45 @@ simd::FoldResult NaiveFold(const std::vector<uint32_t>& span,
   return r;
 }
 
-void CheckSpan(const std::vector<uint32_t>& span, const MeasureVector& mv) {
-  const simd::FoldKernel dispatched =
-      simd::ResolveFoldKernel(simd::SimdMode::kAuto);
-  const simd::FoldResult scalar =
-      RunKernel(&simd::FoldMeasureScalar, span, mv);
-  const simd::FoldResult vec = RunKernel(dispatched.fn, span, mv);
-  ExpectBitEqual(scalar, vec);
-
-  const simd::FoldResult naive = NaiveFold(span, mv);
-  EXPECT_DOUBLE_EQ(scalar.count, naive.count);  // integer sums: exact
-  EXPECT_EQ(Bits(scalar.min), Bits(naive.min));
-  EXPECT_EQ(Bits(scalar.max), Bits(naive.max));
-  // Sum is the one field the lane reorder may shift by ULPs.
-  const double tol = 1e-9 * (std::abs(naive.sum) + 1.0);
-  EXPECT_NEAR(scalar.sum, naive.sum, tol);
+// The fixed order written out: element i into lane i % 4 (a missing fact
+// is skipped, which leaves the same bits as adding the identity), lanes
+// reduced in ascending order. FoldMeasure must match it bit for bit.
+FoldResult LaneStridedFold(const std::vector<uint32_t>& span,
+                           const MeasureVector& mv) {
+  FoldAcc lanes;
+  lanes.Reset();
+  for (size_t i = 0; i < span.size(); ++i) {
+    const uint32_t f = span[i];
+    if (mv.count[f] == 0) continue;
+    const size_t l = i % kFoldLanes;
+    lanes.count[l] += mv.count[f];
+    lanes.sum[l] += mv.sum[f];
+    lanes.min[l] = std::min(lanes.min[l], mv.min[f]);
+    lanes.max[l] = std::max(lanes.max[l], mv.max[f]);
+  }
+  return Reduce(lanes);
 }
 
-// The block-boundary sizes of the issue: below/at/above one SIMD block,
-// at the array->bitset container threshold, and a full 2^16 chunk.
+void CheckSpan(const std::vector<uint32_t>& span, const MeasureVector& mv) {
+  const FoldResult fold = FoldMeasure(span, mv);
+  ExpectBitEqual(fold, LaneStridedFold(span, mv));
+
+  const FoldResult naive = NaiveFold(span, mv);
+  EXPECT_DOUBLE_EQ(fold.count, naive.count);  // integer sums: exact
+  EXPECT_EQ(Bits(fold.min), Bits(naive.min));
+  EXPECT_EQ(Bits(fold.max), Bits(naive.max));
+  // Sum is the one field the lane reorder may shift by ULPs.
+  const double tol = 1e-9 * (std::abs(naive.sum) + 1.0);
+  EXPECT_NEAR(fold.sum, naive.sum, tol);
+}
+
+// Span sizes: one fact, either side of two full lane rounds, either side of
+// the array->bitset container threshold, and a full 2^16 chunk.
 const size_t kSizes[] = {1, 7, 8, 4095, 4096, 65536};
 
 // --- spans drawn through every bitmap representation ----------------------
 
-TEST(SimdFoldTest, InlineSmallSets) {
+TEST(MeasureFoldTest, InlineSmallSets) {
   // <= kInlineCapacity values: the bitmap never spills to containers.
   MeasureVector mv = MakeMeasures(1 << 16, 0xA11CE);
   for (size_t size : {size_t{1}, size_t{7}, size_t{8}}) {
@@ -122,7 +127,7 @@ TEST(SimdFoldTest, InlineSmallSets) {
   }
 }
 
-TEST(SimdFoldTest, ArrayContainers) {
+TEST(MeasureFoldTest, ArrayContainers) {
   // Stride-3 values stay under 4096 per chunk: array containers.
   MeasureVector mv = MakeMeasures(1 << 18, 0xB0B);
   for (size_t size : kSizes) {
@@ -138,8 +143,8 @@ TEST(SimdFoldTest, ArrayContainers) {
   }
 }
 
-TEST(SimdFoldTest, RunContainers) {
-  // Contiguous ranges: run containers, and the kernels' dense fast path.
+TEST(MeasureFoldTest, RunContainers) {
+  // Contiguous ranges: run containers.
   MeasureVector mv = MakeMeasures(1 << 18, 0xC0FFEE);
   for (size_t size : kSizes) {
     SCOPED_TRACE("size = " + std::to_string(size));
@@ -154,9 +159,9 @@ TEST(SimdFoldTest, RunContainers) {
   }
 }
 
-TEST(SimdFoldTest, BitsetContainers) {
-  // > 4096 scattered odd values per chunk: bitset containers. The decoded
-  // span alternates short runs and gaps, exercising both kernel paths.
+TEST(MeasureFoldTest, BitsetContainers) {
+  // > 4096 scattered values per chunk: bitset containers. The decoded span
+  // alternates short runs and gaps.
   MeasureVector mv = MakeMeasures(1 << 18, 0xDEAD);
   for (size_t size : {size_t{4097}, size_t{9000}, size_t{32768}}) {
     SCOPED_TRACE("size = " + std::to_string(size));
@@ -174,25 +179,20 @@ TEST(SimdFoldTest, BitsetContainers) {
   }
 }
 
-TEST(SimdFoldTest, AllFactsMissingMeasure) {
+TEST(MeasureFoldTest, AllFactsMissingMeasure) {
   MeasureVector mv;
   mv.Init(1 << 12);  // every count == 0
   std::vector<uint32_t> span;
   for (uint32_t f = 0; f < 1000; ++f) span.push_back(f);
-  const simd::FoldKernel dispatched =
-      simd::ResolveFoldKernel(simd::SimdMode::kAuto);
-  const simd::FoldResult scalar =
-      RunKernel(&simd::FoldMeasureScalar, span, mv);
-  const simd::FoldResult vec = RunKernel(dispatched.fn, span, mv);
-  ExpectBitEqual(scalar, vec);
+  const FoldResult fold = FoldMeasure(span, mv);
   // The fold identity, exactly: +0.0 count/sum, +/-inf min/max.
-  EXPECT_EQ(Bits(scalar.count), Bits(+0.0));
-  EXPECT_EQ(Bits(scalar.sum), Bits(+0.0));
-  EXPECT_EQ(scalar.min, kInf);
-  EXPECT_EQ(scalar.max, -kInf);
+  EXPECT_EQ(Bits(fold.count), Bits(+0.0));
+  EXPECT_EQ(Bits(fold.sum), Bits(+0.0));
+  EXPECT_EQ(fold.min, kInf);
+  EXPECT_EQ(fold.max, -kInf);
 }
 
-TEST(SimdFoldTest, SingleFact) {
+TEST(MeasureFoldTest, SingleFact) {
   MeasureVector mv = MakeMeasures(64, 0x5EED);
   for (uint32_t f = 0; f < 64; ++f) {
     std::vector<uint32_t> span{f};
@@ -202,25 +202,25 @@ TEST(SimdFoldTest, SingleFact) {
 
 // --- contracts of the fixed accumulation order ----------------------------
 
-TEST(SimdFoldTest, ReduceOrderIsSequentialOverLanes) {
-  simd::FoldAcc acc;
+TEST(MeasureFoldTest, ReduceOrderIsSequentialOverLanes) {
+  FoldAcc acc;
   acc.Reset();
   // Doubles chosen so the sum depends on association order.
   const double v[4] = {1e16, 1.0, -1e16, 1.0};
-  for (size_t l = 0; l < simd::kFoldLanes; ++l) {
+  for (size_t l = 0; l < kFoldLanes; ++l) {
     acc.count[l] = static_cast<double>(l);
     acc.sum[l] = v[l];
     acc.min[l] = static_cast<double>(l);
     acc.max[l] = static_cast<double>(l);
   }
-  const simd::FoldResult r = simd::Reduce(acc);
+  const FoldResult r = Reduce(acc);
   EXPECT_EQ(Bits(r.sum), Bits(((v[0] + v[1]) + v[2]) + v[3]));
   EXPECT_EQ(r.count, 0.0 + 1.0 + 2.0 + 3.0);
   EXPECT_EQ(r.min, 0.0);
   EXPECT_EQ(r.max, 3.0);
 }
 
-TEST(SimdFoldTest, LaneStridingIsGlobalRankMod4) {
+TEST(MeasureFoldTest, LaneStridingIsGlobalRankMod4) {
   // Fold a 6-element span by hand in lane-strided order and compare bits:
   // element i lands in lane i % 4, reduction is lane 0..3 sequential.
   MeasureVector mv = MakeMeasures(64, 0xFEED);
@@ -231,11 +231,11 @@ TEST(SimdFoldTest, LaneStridingIsGlobalRankMod4) {
     lane_sum[i % 4] += mv.sum[span[i]];
   }
   const double expect = ((lane_sum[0] + lane_sum[1]) + lane_sum[2]) + lane_sum[3];
-  const simd::FoldResult r = RunKernel(&simd::FoldMeasureScalar, span, mv);
+  const FoldResult r = FoldMeasure(span, mv);
   EXPECT_EQ(Bits(r.sum), Bits(expect));
 }
 
-TEST(SimdFoldTest, ResultIndependentOfBitmapRepresentation) {
+TEST(MeasureFoldTest, ResultIndependentOfBitmapRepresentation) {
   // The same value set decoded from an inline set and from a spilled
   // container must fold to the same bits (the reason the fold runs on the
   // full-cell DecodeInto span, not per internal block).
@@ -252,37 +252,7 @@ TEST(SimdFoldTest, ResultIndependentOfBitmapRepresentation) {
   inline_bm.DecodeInto(&a);
   spilled.DecodeInto(&b);
   ASSERT_EQ(a, b);
-  ExpectBitEqual(RunKernel(&simd::FoldMeasureScalar, a, mv),
-                 RunKernel(&simd::FoldMeasureScalar, b, mv));
-}
-
-// --- dispatch plumbing ----------------------------------------------------
-
-TEST(SimdDispatchTest, ScalarModeAlwaysResolvesScalar) {
-  const simd::FoldKernel k = simd::ResolveFoldKernel(simd::SimdMode::kScalar);
-  EXPECT_EQ(k.kind, simd::FoldKernelKind::kScalar);
-  EXPECT_EQ(k.fn, &simd::FoldMeasureScalar);
-}
-
-TEST(SimdDispatchTest, AutoResolvesSomethingRunnable) {
-  const simd::FoldKernel k = simd::ResolveFoldKernel(simd::SimdMode::kAuto);
-  ASSERT_NE(k.fn, nullptr);
-  // Whatever it picked must run (this covers the AVX2 kernel on x86 CI).
-  MeasureVector mv = MakeMeasures(1024, 0x7E57);
-  std::vector<uint32_t> span;
-  for (uint32_t f = 0; f < 1024; f += 2) span.push_back(f);
-  RunKernel(k.fn, span, mv);
-  EXPECT_STRNE(simd::FoldKernelKindName(k.kind), "unknown");
-}
-
-TEST(SimdDispatchTest, ParseSimdMode) {
-  simd::SimdMode m;
-  EXPECT_TRUE(simd::ParseSimdMode("auto", &m));
-  EXPECT_EQ(m, simd::SimdMode::kAuto);
-  EXPECT_TRUE(simd::ParseSimdMode("scalar", &m));
-  EXPECT_EQ(m, simd::SimdMode::kScalar);
-  EXPECT_FALSE(simd::ParseSimdMode("avx2", &m));  // kinds are not modes
-  EXPECT_FALSE(simd::ParseSimdMode("", &m));
+  ExpectBitEqual(FoldMeasure(a, mv), FoldMeasure(b, mv));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests of the persistence layer: snapshot save/load round-trips, the
 // corrupted/foreign-file error paths, and the load-time contract the serve
 // mode stands on — a loaded store is semantically identical to a freshly
-// ingested one at every thread/shard/simd configuration.
+// ingested one at every thread/shard configuration.
 
 #include "src/persist/snapshot.h"
 
@@ -18,7 +18,6 @@
 #include "src/datagen/synthetic.h"
 #include "src/exec/cube_evaluator.h"
 #include "src/persist/serve.h"
-#include "src/simd/measure_fold.h"
 
 namespace spade {
 namespace {
@@ -231,30 +230,25 @@ TEST(SnapshotTest, MismatchedCfsOptionsForceRecomputation) {
 
 // --- Loaded == ingested across the execution matrix ------------------------
 
-TEST(SnapshotTest, LoadedInsightsIdenticalAcrossThreadsShardsSimd) {
+TEST(SnapshotTest, LoadedInsightsIdenticalAcrossThreadsAndShards) {
   const std::string path = SnapPath("matrix.snap");
   BuildAndSave(path, /*with_fact_sets=*/true);
 
   SpadeOptions base = BaseOptions();
   base.num_threads = 1;
   base.num_shards = 1;
-  base.mvd.simd = simd::SimdMode::kScalar;
   RunOutcome reference = RunIngested(base);
   ASSERT_FALSE(reference.insights.empty());
 
-  for (simd::SimdMode mode : {simd::SimdMode::kAuto, simd::SimdMode::kScalar}) {
-    for (size_t threads : {1u, 4u}) {
-      for (size_t shards : {1u, 4u}) {
-        SCOPED_TRACE(std::string("simd = ") + simd::SimdModeName(mode) +
-                     ", threads = " + std::to_string(threads) +
-                     ", shards = " + std::to_string(shards));
-        SpadeOptions options = BaseOptions();
-        options.num_threads = threads;
-        options.num_shards = shards;
-        options.mvd.simd = mode;
-        RunOutcome loaded = RunLoaded(path, options);
-        ExpectIdentical(reference, loaded);
-      }
+  for (size_t threads : {1u, 4u}) {
+    for (size_t shards : {1u, 4u}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads) +
+                   ", shards = " + std::to_string(shards));
+      SpadeOptions options = BaseOptions();
+      options.num_threads = threads;
+      options.num_shards = shards;
+      RunOutcome loaded = RunLoaded(path, options);
+      ExpectIdentical(reference, loaded);
     }
   }
   std::remove(path.c_str());

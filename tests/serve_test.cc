@@ -199,5 +199,26 @@ TEST_F(ServeEdgeTest, ServerDeadlineCapsAndDefaultsRequestTimeouts) {
   EXPECT_NE(out.find("ok 0 truncated=deadline"), std::string::npos) << out;
 }
 
+TEST_F(ServeEdgeTest, MaxDimsAboveTheCliBoundIsAnError) {
+  // The grammar takes --max-dims' range, [1, kMaxLatticeDims]: a larger N
+  // would let one request ask for a 2^N-node lattice.
+  const std::string bound = std::to_string(kMaxLatticeDims);
+  const std::string over = std::to_string(kMaxLatticeDims + 1);
+  persist::ServeStats stats;
+  const std::string out = Run("explore top=1 max-dims=" + bound + "\n" +
+                                  "explore top=1 max-dims=" + over + "\n" +
+                                  "explore top=1 max-dims=10\n" +
+                                  "explore top=1 max-dims=0\n",
+                              persist::ServeOptions(), &stats);
+  EXPECT_NE(out.find("#1 ok 1\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("#2 error: bad max-dims '" + over +
+                     "' (want an integer in [1, " + bound + "])"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("#3 error: bad max-dims '10'"), std::string::npos) << out;
+  EXPECT_NE(out.find("#4 error: bad max-dims '0'"), std::string::npos) << out;
+  EXPECT_EQ(stats.num_errors, 3u);
+}
+
 }  // namespace
 }  // namespace spade

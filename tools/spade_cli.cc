@@ -11,9 +11,6 @@
 //                                                               (default mvdcube)
 //   --threads N          worker threads (online phase and streaming ingest);
 //                        0 = all cores                        (default 0)
-//   --simd M             measure-fold kernel: auto = runtime CPU dispatch
-//                        (AVX2/NEON when available), scalar = portable
-//                        kernel; results bit-identical     (default auto)
 //   --stream-ingest      streaming offline build: overlap parsing with store
 //                        construction and the offline statistics pass
 //                        (.nt/.ttl only; results identical to sequential)
@@ -21,7 +18,7 @@
 //   --earlystop          enable confidence-interval pruning
 //   --no-derivations     disable derived properties (woD mode)
 //   --saturate           RDFS-saturate the graph before analysis
-//   --max-dims N         lattice dimensionality cap             (default 3)
+//   --max-dims N         lattice dimensionality cap, 1-4        (default 3)
 //   --min-support R      dimension/measure support threshold    (default 0.1)
 //   --deadline-ms MS     online-phase deadline in milliseconds; on expiry the
 //                        run returns the completed canonical-order prefix,
@@ -98,7 +95,7 @@ int Usage() {
   std::cerr << "usage: spade_cli DATA(.nt|.ttl|.csv) [--top K] "
                "[--interestingness variance|skewness|kurtosis]\n"
                "                 [--algorithm mvdcube|pgcube|pgcube-distinct|"
-               "arraycube] [--threads N] [--simd auto|scalar]\n"
+               "arraycube] [--threads N]\n"
                "                 [--stream-ingest] [--ingest-chunk N] "
                "[--earlystop] [--no-derivations]\n"
                "                 [--saturate] [--max-dims N] "
@@ -187,12 +184,6 @@ int main(int argc, char** argv) {
         return Fail("--threads needs an integer in [0, 1024] (0 = all cores)");
       }
       options.num_threads = static_cast<size_t>(n);
-    } else if (arg == "--simd") {
-      const char* v = next();
-      if (v == nullptr || !spade::simd::ParseSimdMode(spade::ToLower(v),
-                                                      &options.mvd.simd)) {
-        return Fail("--simd needs 'auto' or 'scalar'");
-      }
     } else if (arg == "--stream-ingest") {
       options.ingest.enabled = true;
     } else if (arg == "--ingest-chunk") {
@@ -211,8 +202,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-dims") {
       const char* v = next();
       int64_t n;
-      if (v == nullptr || !spade::ParseInt64(v, &n) || n < 1 || n > 4) {
-        return Fail("--max-dims needs an integer in [1, 4]");
+      if (v == nullptr || !spade::ParseInt64(v, &n) || n < 1 ||
+          n > static_cast<int64_t>(spade::kMaxLatticeDims)) {
+        return Fail("--max-dims needs an integer in [1, " +
+                    std::to_string(spade::kMaxLatticeDims) + "]");
       }
       options.enumeration.max_dims = static_cast<size_t>(n);
     } else if (arg == "--min-support") {
@@ -456,8 +449,7 @@ int main(int argc, char** argv) {
             << " ms, online "
             << spade::FormatDouble(report.timings.online_wall_ms, 1) << " ms ("
             << report.num_threads_used << " thread"
-            << (report.num_threads_used == 1 ? "" : "s") << ", "
-            << report.simd_kernel << " fold)";
+            << (report.num_threads_used == 1 ? "" : "s") << ")";
   if (!report.shard_fact_counts.empty()) {
     std::cerr << "; " << report.num_shards_used << " fact ranges/CFS [";
     for (size_t s = 0; s < report.shard_fact_counts.size(); ++s) {
