@@ -1,8 +1,9 @@
 // Persistence bench: cold-start-to-first-insight with a memory-mapped
 // snapshot vs a full re-ingest, plus sustained serve-mode throughput.
 //
-// The corpus is the bench_ingest shape (multi-type synthetic graph
-// serialized as N-Triples, ~132 MiB at the default scale). Three phases:
+// The corpus is a multi-type synthetic graph (three 100-value dimensions,
+// six measures) serialized as N-Triples, ~132 MiB at the default scale.
+// Three phases:
 //
 //   reingest    parse + offline phase + fact-set selection + one explore
 //               request — the build-every-morning cold start
@@ -274,8 +275,8 @@ int main(int argc, char** argv) {
   using spade::bench::Ms;
   using spade::bench::ServeRun;
 
-  // The same corpus shape as bench_ingest: the bench measures the real
-  // parse + intern + build path against the mmap attach path.
+  // The bench measures the real parse + intern + build path against the
+  // mmap attach path.
   spade::SyntheticOptions sopts;
   sopts.num_facts = facts;
   sopts.dim_cardinality.assign(3, 100);

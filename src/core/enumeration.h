@@ -15,6 +15,10 @@ namespace spade {
 /// lattice code assumes small N.
 constexpr size_t kMaxLatticeDims = 4;
 
+/// The min_support_ratio range the CLI's --min-support and the serve
+/// grammar's min-support= accept: (0, 1]. Written so that NaN fails.
+inline bool ValidMinSupportRatio(double r) { return r > 0 && r <= 1; }
+
 /// Rules of Aggregate Enumeration (Section 3, step 3).
 struct EnumerationOptions {
   /// Rule (a-i): dimensions and measures must be frequent.

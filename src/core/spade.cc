@@ -28,11 +28,11 @@ Spade::~Spade() = default;
 
 Status Spade::RunOffline() {
   if (!options_.load_store.empty()) return LoadStore(options_.load_store);
-  SPADE_RETURN_NOT_OK(BuildOfflineSequential());
+  SPADE_RETURN_NOT_OK(BuildOffline());
   return MaybeSaveStore();
 }
 
-Status Spade::BuildOfflineSequential() {
+Status Spade::BuildOffline() {
   Timer offline_timer;
   Timer timer;
   if (options_.saturate) {
@@ -78,68 +78,14 @@ Status Spade::BuildOfflineSequential() {
 
 Status Spade::RunOffline(TripleChunkSource* source) {
   if (!options_.load_store.empty()) return LoadStore(options_.load_store);
-  // RDFS saturation rewrites the graph before any attribute table can be
-  // built, so it cannot overlap parsing; drain the source and run the
-  // sequential oracle. Same fallback when streaming is switched off — one
-  // entry point serves both modes, which is what bench_ingest compares.
-  if (!options_.ingest.enabled || options_.saturate) {
-    Timer drain_timer;
-    SPADE_RETURN_NOT_OK(DrainChunkSource(source, graph_));
-    const double drain_ms = drain_timer.ElapsedMillis();
-    Status status = RunOffline();
-    // The offline phase owns the parse in source-driven mode, so the drain
-    // counts toward its wall-clock — bench_ingest compares sequential and
-    // streamed runs on equal footing. num_chunks stays 0: the marker that
-    // no streaming ran.
-    report_.timings.offline_wall_ms += drain_ms;
-    report_.ingest.parse_ms = drain_ms;
-    return status;
-  }
-  Timer offline_timer;
-  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.num_threads);
-  TaskScheduler scheduler(pool.get());
-
-  // Parse / scatter / merge-seal / statistics, with the structural summary
-  // handed in as the post-parse task so it builds concurrently with the
-  // store. See ARCHITECTURE.md "The ingest pipeline" for the stage protocol
-  // and the determinism argument.
-  db_ = std::make_unique<AttributeStore>(graph_);
-  double summary_ms = 0;
-  IngestOptions ingest_options = options_.ingest;
-  if (ingest_options.cancel == nullptr) ingest_options.cancel = options_.cancel;
-  SPADE_RETURN_NOT_OK(RunStreamingIngest(
-      source, graph_, db_.get(), &offline_stats_, &scheduler, ingest_options,
-      [this, &summary_ms] {
-        Timer t;
-        summary_ = StructuralSummary::Build(*graph_);
-        summary_dirty_ = false;
-        summary_ms = t.ElapsedMillis();
-      },
-      &report_.ingest));
-  report_.num_triples = graph_->NumTriples();
-  report_.num_direct_properties = db_->num_attributes();
-  // Per-step fields carry *work* time under the overlapped build (the
-  // online phase's convention, see SpadeTimings); offline_wall_ms is the
-  // end-to-end number.
-  report_.timings.summary_ms = summary_ms;
-  report_.timings.attribute_tables_ms =
-      report_.ingest.scatter_work_ms + report_.ingest.build_work_ms;
-  report_.timings.offline_stats_ms = report_.ingest.stats_work_ms;
-
-  Timer timer;
-  if (options_.enable_derivations) {
-    report_.derivations = DeriveAll(db_.get(), offline_stats_, options_.derivation);
-    // Analyze the derived attributes as well (the pipeline needs their kinds
-    // and bounds) — fanned out per attribute; values are identical to the
-    // sequential loop's.
-    ComputeAttrStatsRange(*db_, static_cast<AttrId>(offline_stats_.size()),
-                          &scheduler, &offline_stats_);
-  }
-  report_.timings.derivation_ms = timer.ElapsedMillis();
-  report_.timings.offline_wall_ms = offline_timer.ElapsedMillis();
-
-  offline_done_ = true;
-  return MaybeSaveStore();
+  Timer drain_timer;
+  SPADE_RETURN_NOT_OK(DrainChunkSource(source, graph_));
+  const double drain_ms = drain_timer.ElapsedMillis();
+  Status status = RunOffline();
+  // This entry point owns the parse, so the drain counts toward the
+  // offline wall-clock.
+  report_.timings.offline_wall_ms += drain_ms;
+  return status;
 }
 
 Status Spade::LoadStore(const std::string& path) {

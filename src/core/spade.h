@@ -16,7 +16,7 @@
 #include "src/derive/derivations.h"
 #include "src/exec/cube_evaluator.h"
 #include "src/exec/thread_pool.h"
-#include "src/ingest/ingest.h"
+#include "src/ingest/chunk_source.h"
 #include "src/rdf/ontology.h"
 #include "src/summary/summary.h"
 #include "src/util/cancel.h"
@@ -58,15 +58,6 @@ struct SpadeOptions {
   /// range. Results are bit-identical at every count (see
   /// ARCHITECTURE.md).
   size_t num_shards = 0;
-  /// Streaming offline build (RunOffline(TripleChunkSource*)): overlap
-  /// parsing, store construction and the offline statistics pass on the
-  /// same worker pool (sized by num_threads). The sequential offline phase
-  /// remains the oracle; results are identical either way (byte-identical
-  /// store, same statistics, same insights — see ARCHITECTURE.md "The
-  /// ingest pipeline"). With `saturate` set the pipeline falls back to the
-  /// sequential path (saturation rewrites the graph before tables can be
-  /// built).
-  IngestOptions ingest;
   /// After the offline phase completes, persist the full offline state
   /// (dictionary, triples, tables, summary, statistics, selected fact sets)
   /// to this snapshot file. Empty = no save.
@@ -148,9 +139,9 @@ struct SpadeTimings {
   /// under concurrency the per-step fields sum *work* time across workers,
   /// so wall-clock is the number that measures speedup.
   double online_wall_ms = 0;
-  /// Offline-phase wall-clock (set by both RunOffline paths). Under the
-  /// streaming ingest the per-step fields sum work time across workers, so
-  /// this is the number the overlapped build is measured by.
+  /// Offline-phase wall-clock (set by both RunOffline entry points; the
+  /// source-driven one includes draining the source, which the per-step
+  /// fields leave out).
   double offline_wall_ms = 0;
 };
 
@@ -188,12 +179,6 @@ struct SpadeReport {
   /// fact sets — a lower bound on the true resident peak, the same at
   /// every thread/shard count).
   uint64_t peak_bitmap_bytes = 0;
-  /// Streaming-ingest profile (chunk counts, parse/overlap times).
-  /// num_chunks == 0 marks a sequential offline phase; on the
-  /// RunOffline(source) fallback path parse_ms still carries the
-  /// source-drain time so sequential and streamed runs compare on equal
-  /// footing (bench_ingest relies on this).
-  IngestStats ingest;
   SpadeTimings timings;
   /// The online phase stopped early (deadline, external cancel, or bitmap
   /// budget). The committed results are a canonical-order prefix: every CFS
@@ -260,13 +245,11 @@ class Spade {
   /// tables, offline statistics, derived property enumeration.
   Status RunOffline();
 
-  /// Streaming Offline Processing: consume `source` through the ingest
-  /// pipeline, overlapping parsing with store construction, the structural
-  /// summary and the offline statistics pass (SpadeOptions::ingest). Falls
-  /// back to draining the source and running the sequential RunOffline()
-  /// when streaming is disabled or saturation is requested. End state is
-  /// identical to parsing the same document and calling RunOffline():
-  /// byte-identical store, identical statistics and downstream results.
+  /// Offline Processing over a triple source: drain `source` into the
+  /// graph (DrainChunkSource), then run RunOffline(). The end state is the
+  /// one parsing the same document and calling RunOffline() gives; the
+  /// drain time counts toward SpadeTimings::offline_wall_ms. On a source
+  /// error (a parse error's line number included) nothing is built.
   Status RunOffline(TripleChunkSource* source);
 
   /// Online Processing, steps 1-5: PrepareFactSets(), then the Explore()
@@ -313,8 +296,8 @@ class Spade {
 
   /// Reseal the accumulated state: re-intern the current triple set in
   /// canonical order into a fresh dictionary (dropping retired terms) and
-  /// rebuild the store with the sequential offline pass. The result is
-  /// byte-identical to a fresh sequential build of the final triple set
+  /// rebuild the store with the offline pass. The result is
+  /// byte-identical to a fresh build of the final triple set
   /// (the compaction oracle in tests/delta_test.cc), and releases any
   /// borrowed snapshot mapping. Drops the incremental cache (id assignment
   /// may shift). Requires RunOffline() first; not with RDFS saturation.
@@ -420,10 +403,10 @@ class Spade {
                                      TaskScheduler* scheduler, CfsCache* cache,
                                      Arm* arm, SpadeReport* report) const;
 
-  /// The sequential offline pass over graph_ (summary, direct tables,
-  /// statistics, derivations). RunOffline() wraps it; Compact() reruns it
-  /// over the canonically rebuilt graph.
-  Status BuildOfflineSequential();
+  /// The offline pass over graph_ (saturation, summary, direct tables,
+  /// statistics, derivations). Both RunOffline() entry points wrap it;
+  /// Compact() reruns it over the canonically rebuilt graph.
+  Status BuildOffline();
 
   /// Drop arm_ and every online-phase report field; offline fields, the
   /// CFS selection (and its cfs_selection_ms) and the incremental cache

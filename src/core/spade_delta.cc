@@ -361,7 +361,7 @@ Status Spade::Compact() {
   offline_done_ = false;
   Status rebuilt = Status::OK();
   try {
-    rebuilt = BuildOfflineSequential();
+    rebuilt = BuildOffline();
   } catch (const std::exception& e) {
     rebuilt = Status::Internal(std::string("compaction rebuild failed: ") +
                                e.what());

@@ -20,8 +20,8 @@ namespace spade {
 /// running task fanning out), appends to the one queue and wakes one
 /// sleeping worker; workers pop from the front. The pipeline submits a
 /// handful of coarse tasks per run (CFS evaluations, ParallelFor helpers,
-/// ingest chunks, serve requests), so one lock on the transfer path costs
-/// nothing measurable.
+/// serve requests), so one lock on the transfer path costs nothing
+/// measurable.
 ///
 /// The destructor drains every queued task before joining (a task submitted
 /// is a task run, including tasks submitted by running tasks), so
@@ -100,16 +100,16 @@ class TaskScheduler {
 };
 
 /// \brief A join handle over independently submitted tasks — the async
-/// counterpart of ParallelFor, built for producer/consumer pipelines where
-/// tasks are discovered one at a time (the streaming ingest submits one
-/// scatter task per parsed chunk while the parser keeps running).
+/// counterpart of ParallelFor, built for producer/consumer loops where
+/// tasks are discovered one at a time (the serve loops submit one task per
+/// request while they keep reading).
 ///
 /// Run() enqueues a task on the scheduler's pool; on a serial scheduler it
-/// executes inline, so pipeline code has exactly one code path. Wait()
-/// blocks until every submitted task finished and rethrows the first
-/// exception any task threw. WaitPendingBelow() is the bounded-queue
-/// backpressure primitive: a producer calls it before submitting to cap the
-/// number of in-flight tasks (and therefore buffered chunks).
+/// executes inline, so callers have exactly one code path. Wait() blocks
+/// until every submitted task finished and rethrows the first exception
+/// any task threw. WaitPendingBelow() is the bounded-queue backpressure
+/// primitive: a producer calls it between submissions to cap the number of
+/// in-flight tasks (and therefore buffered requests).
 ///
 /// Tasks must not themselves Wait() on this group, and the group must
 /// outlive its tasks (the destructor waits). One thread drives Run/Wait;

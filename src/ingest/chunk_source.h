@@ -12,9 +12,15 @@
 
 namespace spade {
 
-/// \brief Producer side of the streaming ingest: a pull source of
-/// dictionary-encoded triple batches (the unit the pipeline overlaps —
-/// chunk k's store building runs on workers while chunk k+1 parses).
+/// How a whole source is read (DrainChunkSource pulls with these).
+struct IngestOptions {
+  /// Triple budget per pulled chunk. Statement-oriented sources (Turtle)
+  /// may overflow a chunk rather than split a statement.
+  size_t chunk_triples = 65536;
+};
+
+/// \brief A pull source of dictionary-encoded triple batches: the input of
+/// Spade::RunOffline(TripleChunkSource*) and of Spade::ApplyDelta.
 ///
 /// Contract shared by every implementation:
 ///   - NextChunk(max, out, done) fills `out` (cleared first) with up to
@@ -28,9 +34,8 @@ namespace spade {
 ///   - An error (ParseError with an absolute line number, for the parsers)
 ///     ends the stream; subsequent calls return the same error.
 ///
-/// Sources are single-threaded: the pipeline's parse loop is the only
-/// caller, and it is the same thread that owns the dictionary during
-/// ingest.
+/// Sources are single-threaded: one caller pulls, on the thread that owns
+/// the dictionary while the source interns.
 class TripleChunkSource {
  public:
   virtual ~TripleChunkSource() = default;
@@ -71,8 +76,8 @@ class TurtleChunkSource : public TripleChunkSource {
 };
 
 /// Replays pre-encoded triples in fixed caller-chosen batches — the test
-/// and benchmark harness for the pipeline (including deliberately empty
-/// mid-stream chunks). Triple TermIds must already be interned in the
+/// and benchmark harness for the chunk protocol (including deliberately
+/// empty mid-stream chunks). Triple TermIds must already be interned in the
 /// target graph's dictionary.
 class VectorChunkSource : public TripleChunkSource {
  public:
@@ -92,11 +97,9 @@ class VectorChunkSource : public TripleChunkSource {
   size_t next_ = 0;
 };
 
-/// Drain `source` into `graph` sequentially (append every triple, then
-/// freeze) — the fallback used when streaming ingest is disabled or
-/// inapplicable (RDFS saturation rewrites the graph before the store can be
-/// built), so every caller can hold a TripleChunkSource and still run the
-/// sequential oracle path.
+/// Drain `source` into `graph` (append every triple in chunks of
+/// IngestOptions::chunk_triples, then freeze). On an error the graph is left
+/// partially filled and unfrozen.
 Status DrainChunkSource(TripleChunkSource* source, Graph* graph);
 
 }  // namespace spade

@@ -1,5 +1,6 @@
 #include "src/persist/serve.h"
 
+#include <cmath>
 #include <deque>
 #include <fstream>
 #include <istream>
@@ -104,15 +105,15 @@ std::string ApplyToken(const std::string& token, ExploreRequest* req) {
   }
   if (key == "min-support") {
     double r = 0;
-    if (!ParseDouble(value, &r) || r < 0 || r > 1) {
-      return "bad min-support '" + value + "' (want a ratio in [0, 1])";
+    if (!ParseDouble(value, &r) || !ValidMinSupportRatio(r)) {
+      return "bad min-support '" + value + "' (want a ratio in (0, 1])";
     }
     req->min_support_ratio = r;
     return "";
   }
   if (key == "timeout") {
     double ms = 0;
-    if (!ParseDouble(value, &ms) || ms < 0) {
+    if (!ParseDouble(value, &ms) || !std::isfinite(ms) || ms < 0) {
       return "bad timeout '" + value + "' (want milliseconds >= 0)";
     }
     req->deadline_ms = ms;  // 0 = already expired: an empty truncated reply

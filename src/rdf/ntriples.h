@@ -33,17 +33,16 @@ class NTriplesReader {
                           const Dictionary& dict_for_datatypes, Dictionary* dict);
 };
 
-/// \brief Pull-based N-Triples reader: the streaming-ingest counterpart of
+/// \brief Pull-based N-Triples reader: the chunk-source counterpart of
 /// NTriplesReader::Parse (which is itself implemented on top of this class,
 /// so the two paths cannot drift).
 ///
 /// Each NextChunk() call parses up to `max_triples` triples, interning their
 /// terms into `graph->dict()` in document order — the same interning order
-/// the one-shot parse produces, which is what makes a streamed build
-/// byte-identical to a sequential one (TermIds are assigned by first
-/// appearance). The reader does NOT add triples to the graph; the caller
-/// (the ingest pipeline, or Parse) owns that, so chunks can be handed to
-/// worker tasks while the next chunk parses.
+/// the one-shot parse produces, so a build from chunks is byte-identical to
+/// one from Parse (TermIds are assigned by first appearance). The reader
+/// does NOT add triples to the graph; the caller (DrainChunkSource, the
+/// delta path, or Parse) owns that.
 ///
 /// Errors stop the stream at the offending line with a ParseError naming the
 /// absolute line number, no matter how many chunks preceded it.

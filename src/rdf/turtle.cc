@@ -16,7 +16,7 @@ namespace {
 /// line-oriented: statements span lines freely). Parsed triples are emitted
 /// into a caller-owned buffer, not the graph: the one-shot reader drains the
 /// whole document and adds them itself, the chunk reader hands batches to
-/// the ingest pipeline. Parsing can be suspended at any statement boundary
+/// its caller. Parsing can be suspended at any statement boundary
 /// (ParseSome) and resumed — prefixes, the base IRI and the blank-node
 /// counter persist across calls.
 class TurtleParser {

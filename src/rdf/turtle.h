@@ -37,7 +37,7 @@ class TurtleReader {
   static Status ParseString(std::string_view text, Graph* graph);
 };
 
-/// \brief Pull-based Turtle reader: the streaming-ingest counterpart of
+/// \brief Pull-based Turtle reader: the chunk-source counterpart of
 /// TurtleReader (whose one-shot parse runs on the same statement parser, so
 /// the two paths cannot drift).
 ///

@@ -1,7 +1,6 @@
 #include "src/store/attribute_store.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace spade {
 
@@ -23,7 +22,9 @@ const char* AttrOriginName(AttrOrigin origin) {
 
 void AttributeTable::Seal() {
   if (sealed_) return;
-  std::sort(staging_.begin(), staging_.end());
+  if (!std::is_sorted(staging_.begin(), staging_.end())) {
+    std::sort(staging_.begin(), staging_.end());
+  }
   staging_.erase(std::unique(staging_.begin(), staging_.end()),
                  staging_.end());
   // Exact reserve for the object column; the subject/offset columns grow
@@ -38,54 +39,6 @@ void AttributeTable::Seal() {
   }
   offsets_.push_back(static_cast<uint32_t>(objects_.size()));
   std::vector<std::pair<TermId, TermId>>().swap(staging_);
-  sealed_ = true;
-  RebindViews();
-}
-
-void AttributeTable::SealFromSortedRuns(
-    const std::vector<const std::vector<Row>*>& runs) {
-  assert(!sealed_ && staging_.empty() &&
-         "SealFromSortedRuns on a table that was staged or sealed");
-  // Heap of (next row, run index): pops ascend by row, ties by run index —
-  // ascending chunk order, so the pop sequence is deterministic and equal
-  // duplicates collapse onto their first (earliest-chunk) occurrence.
-  struct Cursor {
-    Row row;
-    size_t run;
-    size_t pos;
-  };
-  struct Greater {
-    bool operator()(const Cursor& a, const Cursor& b) const {
-      if (a.row != b.row) return a.row > b.row;
-      return a.run > b.run;
-    }
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, Greater> heap;
-  size_t total = 0;
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (runs[r] == nullptr || runs[r]->empty()) continue;
-    total += runs[r]->size();
-    heap.push(Cursor{(*runs[r])[0], r, 0});
-  }
-  objects_.reserve(total);  // upper bound; cross-run duplicates shrink it
-  bool any = false;
-  Row last{};
-  while (!heap.empty()) {
-    Cursor top = heap.top();
-    heap.pop();
-    if (top.pos + 1 < runs[top.run]->size()) {
-      heap.push(Cursor{(*runs[top.run])[top.pos + 1], top.run, top.pos + 1});
-    }
-    if (any && top.row == last) continue;  // duplicate across runs
-    any = true;
-    last = top.row;
-    if (subjects_.empty() || subjects_.back() != top.row.first) {
-      subjects_.push_back(top.row.first);
-      offsets_.push_back(static_cast<uint32_t>(objects_.size()));
-    }
-    objects_.push_back(top.row.second);
-  }
-  offsets_.push_back(static_cast<uint32_t>(objects_.size()));
   sealed_ = true;
   RebindViews();
 }
@@ -141,7 +94,8 @@ void AttributeStore::BuildDirectAttributes() {
   }
 }
 
-AttrId AttributeStore::Register(AttributeTable table) {
+AttrId AttributeStore::AddAttribute(AttributeTable table) {
+  table.Seal();
   // Disambiguate name collisions (two IRIs with the same local name).
   std::string name = table.name;
   int suffix = 2;
@@ -153,19 +107,6 @@ AttrId AttributeStore::Register(AttributeTable table) {
   by_name_[table.name] = id;
   attributes_.push_back(std::move(table));
   return id;
-}
-
-AttrId AttributeStore::AddAttribute(AttributeTable table) {
-  table.Seal();
-  return Register(std::move(table));
-}
-
-AttributeTable* AttributeStore::AddDirectAttributeShell(TermId property) {
-  AttributeTable table;
-  table.name = LocalName(graph_->dict().Get(property).lexical);
-  table.origin = AttrOrigin::kDirect;
-  table.property = property;
-  return &attributes_[Register(std::move(table))];
 }
 
 std::optional<AttrId> AttributeStore::FindAttribute(

@@ -53,8 +53,7 @@ const char* AttrOriginName(AttrOrigin origin);
 /// every consumer.
 class AttributeTable {
  public:
-  /// One staged (subject, object) row; sorted-run merging (the streaming
-  /// ingest's chunked build) works on slices of these.
+  /// One staged (subject, object) row; the delta merge works on these.
   using Row = std::pair<TermId, TermId>;
 
   /// Human-readable name: the property's local name for direct attributes,
@@ -122,22 +121,11 @@ class AttributeTable {
   size_t num_staged() const { return staging_.size(); }
 
   /// Sort + dedup the staged rows and compact them into the CSR columns,
-  /// freeing the staging buffer. Idempotent on an already-sealed table.
+  /// freeing the staging buffer. Rows staged in ascending order skip the
+  /// sort (the delta merge stages them so). Idempotent on an already-sealed
+  /// table.
   void Seal();
   bool sealed() const { return sealed_; }
-
-  /// Seal directly from pre-sorted runs: each run must be sorted by (s, o)
-  /// and internally deduplicated (a parsed chunk's rows for this attribute,
-  /// sorted on a worker while later chunks were still parsing). The runs are
-  /// k-way-merged with cross-run deduplication straight into the CSR
-  /// columns — no staging buffer, no global sort. Because Seal() produces
-  /// the sorted deduplicated row sequence and the merge produces the same
-  /// sequence from the same row multiset, the sealed columns are
-  /// byte-identical to a single-shot AddRow+Seal build, for any chunking
-  /// (the ingest keeps runs in ascending chunk order regardless, which also
-  /// makes the merge's tie-break order deterministic). Must be the table's
-  /// first and only seal; null/empty runs are permitted.
-  void SealFromSortedRuns(const std::vector<const std::vector<Row>*>& runs);
 
   /// Seal the table directly onto externally owned columns (typically views
   /// into an mmap'd snapshot segment). The columns must be a valid CSR
@@ -303,16 +291,6 @@ class AttributeStore {
   /// Register a derived attribute table (seals it). Returns its id.
   AttrId AddAttribute(AttributeTable table);
 
-  /// Register an *unsealed* direct-attribute shell for `property` — name,
-  /// origin and collision-suffix assigned exactly as BuildDirectAttributes
-  /// would — and return a pointer for the caller to fill and seal. The
-  /// streaming ingest registers shells in ascending property-id order (the
-  /// order BuildDirectAttributes iterates AllProperties()), then seals them
-  /// in parallel; registration order is what keeps names, ids and therefore
-  /// the whole store identical to the sequential build. The pointer stays
-  /// valid across later registrations (deque storage).
-  AttributeTable* AddDirectAttributeShell(TermId property);
-
   const AttributeTable& attribute(AttrId id) const { return attributes_[id]; }
   size_t num_attributes() const { return attributes_.size(); }
 
@@ -330,12 +308,6 @@ class AttributeStore {
   static std::string LocalName(const std::string& iri);
 
  private:
-  /// Apply the shared collision-suffix discipline ("name", "name#2", ...)
-  /// and record the table in the registry. Both registration paths
-  /// (AddAttribute, AddDirectAttributeShell) go through here, so sequential
-  /// and chunked builds can never disagree on naming.
-  AttrId Register(AttributeTable table);
-
   Graph* graph_;
   std::deque<AttributeTable> attributes_;  ///< deque: stable references
   std::unordered_map<std::string, AttrId> by_name_;

@@ -34,30 +34,32 @@ TripleDeltaByProperty GroupDeltaByProperty(const std::vector<Triple>& added,
 
 AttributeTable MergeTableWithDelta(const AttributeTable* base,
                                    const PropertyDelta& delta) {
-  // kept = base rows \ removes (both sorted: one forward walk), then merge
-  // the sorted adds in.
-  std::vector<AttributeTable::Row> kept;
-  if (base != nullptr) {
-    kept.reserve(base->num_rows());
-    size_t ri = 0;
-    base->ForEachRow([&](TermId s, TermId o) {
-      const AttributeTable::Row row{s, o};
-      while (ri < delta.removes.size() && delta.removes[ri] < row) ++ri;
-      if (ri < delta.removes.size() && delta.removes[ri] == row) {
-        ++ri;
-        return;
-      }
-      kept.push_back(row);
-    });
-  }
-  std::vector<AttributeTable::Row> merged;
-  merged.reserve(kept.size() + delta.adds.size());
-  std::merge(kept.begin(), kept.end(), delta.adds.begin(), delta.adds.end(),
-             std::back_inserter(merged));
+  // Stage (base rows \ removes) merged with the adds, in one forward walk
+  // over each sorted input: the rows arrive in order, so Seal() compacts
+  // them without sorting.
+  const std::vector<AttributeTable::Row>& adds = delta.adds;
+  const std::vector<AttributeTable::Row>& removes = delta.removes;
   AttributeTable table;
   table.origin = AttrOrigin::kDirect;
   table.property = delta.property;
-  table.SealFromSortedRuns({&merged});
+  size_t ai = 0;
+  if (base != nullptr) {
+    size_t ri = 0;
+    base->ForEachRow([&](TermId s, TermId o) {
+      const AttributeTable::Row row{s, o};
+      while (ri < removes.size() && removes[ri] < row) ++ri;
+      if (ri < removes.size() && removes[ri] == row) {
+        ++ri;
+        return;
+      }
+      for (; ai < adds.size() && adds[ai] < row; ++ai) {
+        table.AddRow(adds[ai].first, adds[ai].second);
+      }
+      table.AddRow(s, o);
+    });
+  }
+  for (; ai < adds.size(); ++ai) table.AddRow(adds[ai].first, adds[ai].second);
+  table.Seal();
   return table;
 }
 

@@ -67,11 +67,19 @@ class Deadline {
   using Clock = std::chrono::steady_clock;
 
   static Deadline Never() { return Deadline(Clock::time_point::max()); }
+  /// `ms` from now. Not above 0 (NaN included) is already expired; a wait
+  /// the clock cannot represent (within 1 ms of its end, +inf included)
+  /// never expires.
   static Deadline After(double ms) {
-    if (ms <= 0) return Deadline(Clock::time_point::min());
-    return Deadline(Clock::now() +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double, std::milli>(ms)));
+    if (!(ms > 0)) return Deadline(Clock::time_point::min());
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, std::milli> wait(ms);
+    // The 1 ms margin absorbs the rounding of the double comparison, so the
+    // cast and the sum below stay in range.
+    if (wait >= Clock::time_point::max() - now - std::chrono::milliseconds(1)) {
+      return Never();
+    }
+    return Deadline(now + std::chrono::duration_cast<Clock::duration>(wait));
   }
 
   bool never() const { return when_ == Clock::time_point::max(); }

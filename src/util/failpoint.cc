@@ -255,13 +255,12 @@ std::vector<std::string> AllSiteNames() {
       "core.lattice.slice",   "core.measure.load",
       "core.translate",       "delta.apply",
       "delta.compact",        "exec.parallel_for",
-      "exec.taskgroup.task",  "ingest.chunk",
-      "ingest.scatter",       "ingest.seal",
-      "persist.load.attach",  "persist.load.open",
-      "persist.save.finish",  "persist.save.open",
-      "persist.save.rename",  "persist.save.segment",
-      "serve.accept",         "serve.read",
-      "serve.request",        "serve.write",
+      "exec.taskgroup.task",  "persist.load.attach",
+      "persist.load.open",    "persist.save.finish",
+      "persist.save.open",    "persist.save.rename",
+      "persist.save.segment", "serve.accept",
+      "serve.read",           "serve.request",
+      "serve.write",
   };
 }
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -90,6 +92,34 @@ TEST(CancelTokenTest, DeadlineExpiryAndLatch) {
   CancelCheck bcheck(&budget, Deadline::Never());
   EXPECT_FALSE(bcheck.AbortNow());
   EXPECT_TRUE(bcheck.SkipNewWork());
+}
+
+TEST(CancelTokenTest, DeadlinesPastTheClockNeverExpireAndNanIsExpired) {
+  // The steady clock counts int64 nanoseconds, about 9.2e12 ms: a longer
+  // wait (infinity included) never expires instead of wrapping around.
+  EXPECT_FALSE(Deadline::After(1e13).expired());
+  EXPECT_TRUE(Deadline::After(1e13).never());
+  EXPECT_TRUE(Deadline::After(1e300).never());
+  EXPECT_TRUE(Deadline::After(std::numeric_limits<double>::infinity()).never());
+  // Not above zero, NaN included, is already expired.
+  EXPECT_TRUE(Deadline::After(std::nan("")).expired());
+  EXPECT_TRUE(
+      Deadline::After(-std::numeric_limits<double>::infinity()).expired());
+  // A year is an ordinary deadline inside the range.
+  const Deadline year = Deadline::After(365.0 * 24 * 3600 * 1000);
+  EXPECT_FALSE(year.expired());
+  EXPECT_FALSE(year.never());
+
+  // End to end: a pipeline deadline past the clock runs to completion.
+  auto graph = GenerateSynthetic(MediumCorpus());
+  SpadeOptions options = BaseOptions();
+  options.deadline_ms = 1e13;
+  Spade spade(graph.get(), options);
+  ASSERT_TRUE(spade.RunOffline().ok());
+  auto insights = spade.RunOnline();
+  ASSERT_TRUE(insights.ok()) << insights.status().ToString();
+  EXPECT_FALSE(spade.report().truncated);
+  EXPECT_FALSE(insights->empty());
 }
 
 TEST(CancelTest, ZeroDeadlineReturnsImmediatelyAndIdenticallyEverywhere) {

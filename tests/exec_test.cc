@@ -1,16 +1,22 @@
-// Tests of the execution layer: ThreadPool / TaskScheduler semantics, the
-// CubeEvaluator factory, and — the contract the parallel pipeline stands on —
-// bit-identical results at every thread count.
+// Tests of the execution layer: ThreadPool / TaskScheduler / TaskGroup
+// semantics, the CubeEvaluator factory, and — the contract the parallel
+// pipeline stands on — bit-identical results at every thread count.
 
 #include "src/exec/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/mvdcube.h"
@@ -140,6 +146,96 @@ TEST(TaskSchedulerTest, PropagatesTheFirstException) {
                                        }
                                      }),
                std::runtime_error);
+}
+
+// --- TaskGroup --------------------------------------------------------------
+
+/// Rethrows what `group.Wait()` throws as its message ("" if nothing).
+std::string WaitError(TaskGroup* group) {
+  try {
+    group->Wait();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TaskGroupTest, WaitRethrowsTheFirstErrorAfterEveryTaskFinished) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    std::atomic<int> finished{0};
+    std::unique_ptr<ThreadPool> pool = MakeWorkerPool(threads);
+    TaskScheduler scheduler(pool.get());
+    TaskGroup group(&scheduler);
+    group.Run([] { throw std::runtime_error("first"); });
+    group.WaitPendingBelow(1);  // the first error is captured before the rest
+    for (int i = 0; i < 16; ++i) {
+      group.Run([&finished, i] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        finished.fetch_add(1);
+        if (i % 4 == 0) throw std::runtime_error("later");
+      });
+    }
+    EXPECT_EQ(WaitError(&group), "first");
+    EXPECT_EQ(finished.load(), 16);  // Wait() returned only after all of them
+    EXPECT_EQ(WaitError(&group), "");  // the error is handed out once
+  }
+}
+
+TEST(TaskGroupTest, WaitPendingBelowReturnsWithFewerThanCapPending) {
+  // Tasks block until the test hands out tokens. With five tokens exactly
+  // five of eight tasks can finish, which leaves three pending: below a cap
+  // of four, so WaitPendingBelow(4) returns, and no task beyond those five
+  // can have finished when it does.
+  constexpr int kTasks = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int tokens = 0;  // guarded by mu
+  std::atomic<int> finished{0};
+  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(4);
+  TaskScheduler scheduler(pool.get());
+  TaskGroup group(&scheduler);
+  for (int i = 0; i < kTasks; ++i) {
+    group.Run([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return tokens > 0; });
+      --tokens;
+      finished.fetch_add(1);
+    });
+  }
+  auto release = [&](int n) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      tokens += n;
+    }
+    cv.notify_all();
+  };
+  release(5);
+  group.WaitPendingBelow(4);
+  EXPECT_EQ(finished.load(), 5);
+  release(kTasks - 5);
+  group.Wait();
+  EXPECT_EQ(finished.load(), kTasks);
+}
+
+TEST(TaskGroupTest, SerialRunExecutesInlineWithTheSameErrorContract) {
+  TaskScheduler serial(nullptr);
+  TaskGroup group(&serial);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  group.Run([&] {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(1);
+  });
+  EXPECT_EQ(order, (std::vector<int>{1}));  // ran before Run() returned
+  // A throwing task is captured, not propagated, and later tasks still run.
+  EXPECT_NO_THROW(group.Run([] { throw std::runtime_error("first"); }));
+  EXPECT_NO_THROW(group.Run([] { throw std::runtime_error("second"); }));
+  group.Run([&] { order.push_back(2); });
+  group.WaitPendingBelow(1);  // nothing is ever pending: returns at once
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(WaitError(&group), "first");
+  EXPECT_EQ(WaitError(&group), "");
 }
 
 // --- CubeEvaluator factory ------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -18,6 +19,7 @@
 
 #include "src/core/spade.h"
 #include "src/datagen/synthetic.h"
+#include "src/exec/thread_pool.h"
 #include "src/ingest/chunk_source.h"
 #include "src/persist/serve.h"
 #include "src/persist/snapshot.h"
@@ -99,14 +101,13 @@ TEST_F(FailpointTest, FullPipelineRegistersTheExpectedSites) {
   }
   const std::string snap = TmpPath("failpoint_register.snap");
   {
-    Graph streamed;
+    Graph parsed;
     SpadeOptions options = BaseOptions();
-    options.ingest.enabled = true;
     options.num_threads = 2;
     options.save_store = snap;
-    Spade spade(&streamed, options);
+    Spade spade(&parsed, options);
     std::istringstream in(nt);
-    NTriplesChunkSource source(in, &streamed);
+    NTriplesChunkSource source(in, &parsed);
     ASSERT_TRUE(spade.RunOffline(&source).ok());
     ASSERT_TRUE(spade.RunOnline().ok());
   }
@@ -125,8 +126,7 @@ TEST_F(FailpointTest, FullPipelineRegistersTheExpectedSites) {
   const std::vector<std::string> names = fail::KnownNames();
   for (const char* expected :
        {"core.lattice.slice", "core.measure.load", "core.translate",
-        "exec.parallel_for", "exec.taskgroup.task", "ingest.chunk",
-        "ingest.scatter", "ingest.seal", "persist.load.attach",
+        "exec.parallel_for", "exec.taskgroup.task", "persist.load.attach",
         "persist.load.open", "persist.save.finish", "persist.save.open",
         "persist.save.rename", "persist.save.segment", "serve.request"}) {
     EXPECT_TRUE(std::find(names.begin(), names.end(), expected) != names.end())
@@ -186,31 +186,21 @@ TEST_F(FailpointTest, OomActionSurfacesAsErrorStatus) {
   EXPECT_FALSE(insights.ok());
 }
 
-TEST_F(FailpointTest, IngestFailpointsReturnErrorStatus) {
+TEST_F(FailpointTest, TaskGroupFailpointSurfacesAtWait) {
   if (!fail::Enabled()) GTEST_SKIP() << "failpoints compiled out";
-  auto graph = GenerateSynthetic(SmallCorpus());
-  std::string nt;
-  {
-    std::ostringstream out;
-    NTriplesWriter::Write(*graph, out);
-    nt = out.str();
-  }
-  for (const char* name : {"ingest.chunk", "ingest.scatter", "ingest.seal",
-                           "exec.taskgroup.task"}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      fail::Reset();
-      ASSERT_TRUE(fail::Configure(std::string(name) + "=error").ok());
-      Graph streamed;
-      SpadeOptions options = BaseOptions();
-      options.ingest.enabled = true;
-      options.ingest.chunk_triples = 512;
-      options.num_threads = threads;
-      Spade spade(&streamed, options);
-      std::istringstream in(nt);
-      NTriplesChunkSource source(in, &streamed);
-      Status st = spade.RunOffline(&source);
-      EXPECT_FALSE(st.ok()) << name << " armed at " << threads << " threads";
-    }
+  // The site fires before the task body: the hit it fires on loses only its
+  // own task, and the error comes back at Wait(), serial or pooled.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    fail::Reset();
+    ASSERT_TRUE(fail::Configure("exec.taskgroup.task=error:2").ok());
+    std::atomic<int> ran{0};
+    std::unique_ptr<ThreadPool> pool = MakeWorkerPool(threads);
+    TaskScheduler scheduler(pool.get());
+    TaskGroup group(&scheduler);
+    for (int i = 0; i < 4; ++i) group.Run([&ran] { ran.fetch_add(1); });
+    EXPECT_THROW(group.Wait(), fail::FailpointError)
+        << "armed at " << threads << " threads";
+    EXPECT_EQ(ran.load(), 3) << threads << " threads";
   }
 }
 

@@ -1,11 +1,11 @@
-// Streaming-ingest coverage: the pull/chunk parser APIs (chunk boundaries,
-// empty chunks, mid-stream errors with absolute line numbers), the chunked
-// store build (byte-identical to the sequential build at every chunk size
-// and thread count), and the end-to-end acceptance matrix — streamed
-// offline phase vs the sequential oracle at chunk sizes {1, 4096} x
-// threads {1, 4}, identical SpadeReport counts and insight stream.
+// Chunk-source coverage: the pull/chunk parser APIs (chunk boundaries,
+// empty chunks, mid-stream errors with absolute line numbers) and
+// Spade::RunOffline(TripleChunkSource*), the offline entry point cold starts
+// take: draining a source must give the state parsing the same document and
+// calling RunOffline() gives — store bytes, report counts and insight
+// stream — at every thread count.
 
-#include "src/ingest/ingest.h"
+#include "src/ingest/chunk_source.h"
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,8 @@
 
 #include "src/core/spade.h"
 #include "src/datagen/synthetic.h"
-#include "src/ingest/chunk_source.h"
 #include "src/rdf/ntriples.h"
 #include "src/rdf/turtle.h"
-#include "src/stats/attr_stats.h"
 #include "src/store/attribute_store.h"
 
 namespace spade {
@@ -28,7 +26,7 @@ namespace {
 
 // --- Shared helpers -------------------------------------------------------
 
-/// Serialize a graph as N-Triples text (the bench/test ingest corpus).
+/// Serialize a graph as N-Triples text (the test corpus).
 std::string ToNTriples(const Graph& graph) {
   std::ostringstream out;
   NTriplesWriter::Write(graph, out);
@@ -43,52 +41,6 @@ std::string SmallSyntheticNt(size_t facts = 200, size_t types = 2) {
   opts.num_fact_types = types;
   auto graph = GenerateSynthetic(opts);
   return ToNTriples(*graph);
-}
-
-/// The sequential oracle: parse + BuildDirectAttributes + per-attribute
-/// statistics, exactly the RunOffline() sequence for these stages.
-struct SequentialBuild {
-  std::unique_ptr<Graph> graph = std::make_unique<Graph>();
-  std::unique_ptr<AttributeStore> store;
-  std::vector<AttrStats> stats;
-};
-
-SequentialBuild BuildSequential(const std::string& nt) {
-  SequentialBuild out;
-  EXPECT_TRUE(NTriplesReader::ParseString(nt, out.graph.get()).ok());
-  out.store = std::make_unique<AttributeStore>(out.graph.get());
-  out.store->BuildDirectAttributes();
-  for (AttrId a = 0; a < out.store->num_attributes(); ++a) {
-    out.stats.push_back(ComputeAttrStats(*out.store, a));
-  }
-  return out;
-}
-
-/// The streamed build of the same document.
-struct StreamingBuild {
-  std::unique_ptr<Graph> graph = std::make_unique<Graph>();
-  std::unique_ptr<AttributeStore> store;
-  std::vector<AttrStats> stats;
-  IngestStats ingest;
-};
-
-StreamingBuild BuildStreaming(const std::string& nt, size_t chunk,
-                              size_t threads) {
-  StreamingBuild out;
-  out.store = std::make_unique<AttributeStore>(out.graph.get());
-  std::istringstream in(nt);
-  NTriplesChunkSource source(in, out.graph.get());
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-  TaskScheduler scheduler(pool.get());
-  IngestOptions options;
-  options.enabled = true;
-  options.chunk_triples = chunk;
-  EXPECT_TRUE(RunStreamingIngest(&source, out.graph.get(), out.store.get(),
-                                 &out.stats, &scheduler, options, {},
-                                 &out.ingest)
-                  .ok());
-  return out;
 }
 
 void ExpectTablesByteIdentical(const AttributeTable& a,
@@ -113,22 +65,6 @@ void ExpectStoresByteIdentical(const AttributeStore& a,
   for (AttrId id = 0; id < a.num_attributes(); ++id) {
     SCOPED_TRACE("attribute " + std::to_string(id));
     ExpectTablesByteIdentical(a.attribute(id), b.attribute(id));
-  }
-}
-
-void ExpectStatsIdentical(const std::vector<AttrStats>& a,
-                          const std::vector<AttrStats>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("attribute " + std::to_string(i));
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_EQ(a[i].num_subjects, b[i].num_subjects);
-    EXPECT_EQ(a[i].num_values, b[i].num_values);
-    EXPECT_EQ(a[i].num_distinct_values, b[i].num_distinct_values);
-    EXPECT_EQ(a[i].num_multi_subjects, b[i].num_multi_subjects);
-    EXPECT_EQ(a[i].min_value, b[i].min_value);    // exact doubles
-    EXPECT_EQ(a[i].max_value, b[i].max_value);
-    EXPECT_EQ(a[i].avg_text_length, b[i].avg_text_length);
   }
 }
 
@@ -258,115 +194,44 @@ TEST(TurtleChunkReaderTest, MidStreamErrorCarriesLineNumber) {
   EXPECT_FALSE(reader.NextChunk(1, &chunk, &done).ok());
 }
 
-// --- Chunked store build vs the sequential oracle -------------------------
+// --- Spade::RunOffline(TripleChunkSource*) -------------------------------
 
-TEST(StreamingIngestTest, StoreAndStatsIdenticalAtEveryChunkSize) {
-  const std::string nt = SmallSyntheticNt();
-  SequentialBuild sequential = BuildSequential(nt);
-  ASSERT_GT(sequential.store->num_attributes(), 0u);
-
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("chunk = " + std::to_string(chunk) +
-                   ", threads = " + std::to_string(threads));
-      StreamingBuild streamed = BuildStreaming(nt, chunk, threads);
-      EXPECT_EQ(streamed.graph->NumTriples(), sequential.graph->NumTriples());
-      ExpectStoresByteIdentical(*sequential.store, *streamed.store);
-      ExpectStatsIdentical(sequential.stats, streamed.stats);
-      EXPECT_GT(streamed.ingest.num_chunks, 0u);
-      EXPECT_LE(streamed.ingest.peak_chunk_triples,
-                std::max(chunk, size_t{1}));
-    }
-  }
-}
-
-TEST(StreamingIngestTest, EmptyChunksAreNotEndOfStream) {
-  // A source that interleaves empty chunks (a comment-only stretch of
-  // input) must not terminate or disturb the build.
-  Graph reference;
-  Graph streamed;
-  std::vector<Triple> triples;
-  for (Graph* g : {&reference, &streamed}) {
-    Dictionary& d = g->dict();
-    TermId p = d.InternIri("http://x/p");
-    TermId q = d.InternIri("http://x/q");
-    std::vector<Triple> local;
-    for (int i = 0; i < 10; ++i) {
-      TermId s = d.InternIri("http://x/s" + std::to_string(i));
-      local.push_back(Triple{s, p, d.InternInteger(i)});
-      if (i % 2 == 0) local.push_back(Triple{s, q, d.InternString("v")});
-    }
-    triples = local;  // identical intern order => identical ids
-  }
-  for (const Triple& t : triples) reference.Add(t);
-  reference.Freeze();
-  AttributeStore ref_store(&reference);
-  ref_store.BuildDirectAttributes();
-
-  VectorChunkSource source({{triples.begin(), triples.begin() + 3},
-                            {},
-                            {triples.begin() + 3, triples.begin() + 4},
-                            {},
-                            {},
-                            {triples.begin() + 4, triples.end()}});
-  AttributeStore store(&streamed);
-  std::vector<AttrStats> stats;
-  IngestStats istats;
-  TaskScheduler serial(nullptr);
-  IngestOptions options;
-  options.chunk_triples = 4;
-  ASSERT_TRUE(RunStreamingIngest(&source, &streamed, &store, &stats, &serial,
-                                 options, {}, &istats)
-                  .ok());
-  EXPECT_EQ(istats.num_chunks, 3u);  // empty chunks are skipped, not counted
-  EXPECT_EQ(streamed.NumTriples(), reference.NumTriples());
-  ExpectStoresByteIdentical(ref_store, store);
-}
-
-TEST(StreamingIngestTest, ParseErrorPropagatesWithLineNumber) {
-  const std::string nt =
-      "<http://x/a> <http://x/p> <http://x/b> .\n"
-      "not a triple\n";
-  Graph graph;
-  AttributeStore store(&graph);
-  std::vector<AttrStats> stats;
-  IngestStats istats;
-  std::istringstream in(nt);
-  NTriplesChunkSource source(in, &graph);
-  TaskScheduler serial(nullptr);
-  Status st = RunStreamingIngest(&source, &graph, &store, &stats, &serial,
-                                 IngestOptions{}, {}, &istats);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("line 2"), std::string::npos) << st.ToString();
-  EXPECT_EQ(store.num_attributes(), 0u);  // store left unbuilt
-}
-
-// --- End-to-end pipeline: acceptance matrix -------------------------------
-
-struct PipelineOutcome {
-  std::vector<Insight> insights;
-  SpadeReport report;
-  std::unique_ptr<Graph> graph;
-  std::unique_ptr<Spade> spade;
-};
-
-PipelineOutcome RunPipeline(const std::string& nt, bool streaming,
-                            size_t chunk, size_t threads,
-                            bool saturate = false) {
-  PipelineOutcome out;
-  out.graph = std::make_unique<Graph>();
+SpadeOptions PipelineOptions(size_t threads) {
   SpadeOptions options;
   options.cfs.min_size = 20;
   options.enumeration.max_dims = 2;
   options.top_k = 8;
   options.num_threads = threads;
-  options.saturate = saturate;
-  options.ingest.enabled = streaming;
-  options.ingest.chunk_triples = chunk;
-  out.spade = std::make_unique<Spade>(out.graph.get(), options);
+  return options;
+}
+
+struct PipelineOutcome {
+  std::vector<Insight> insights;
+  SpadeReport report;
+  std::unique_ptr<Graph> graph = std::make_unique<Graph>();
+  std::unique_ptr<Spade> spade;
+};
+
+/// The offline phase from a source (drain + build), then one online run.
+PipelineOutcome RunFromSource(const std::string& nt, size_t threads) {
+  PipelineOutcome out;
+  out.spade = std::make_unique<Spade>(out.graph.get(), PipelineOptions(threads));
   std::istringstream in(nt);
   NTriplesChunkSource source(in, out.graph.get());
   EXPECT_TRUE(out.spade->RunOffline(&source).ok());
+  auto insights = out.spade->RunOnline();
+  EXPECT_TRUE(insights.ok()) << insights.status().ToString();
+  out.insights = std::move(*insights);
+  out.report = out.spade->report();
+  return out;
+}
+
+/// The same document parsed first, then RunOffline() and one online run.
+PipelineOutcome RunFromParse(const std::string& nt, size_t threads) {
+  PipelineOutcome out;
+  EXPECT_TRUE(NTriplesReader::ParseString(nt, out.graph.get()).ok());
+  out.spade = std::make_unique<Spade>(out.graph.get(), PipelineOptions(threads));
+  EXPECT_TRUE(out.spade->RunOffline().ok());
   auto insights = out.spade->RunOnline();
   EXPECT_TRUE(insights.ok()) << insights.status().ToString();
   out.insights = std::move(*insights);
@@ -381,6 +246,7 @@ void ExpectPipelinesIdentical(const PipelineOutcome& a,
   EXPECT_EQ(a.report.num_triples, b.report.num_triples);
   EXPECT_EQ(a.report.num_cfs, b.report.num_cfs);
   EXPECT_EQ(a.report.num_direct_properties, b.report.num_direct_properties);
+  EXPECT_EQ(a.report.derivations.total(), b.report.derivations.total());
   EXPECT_EQ(a.report.num_lattices, b.report.num_lattices);
   EXPECT_EQ(a.report.num_candidate_aggregates,
             b.report.num_candidate_aggregates);
@@ -402,49 +268,68 @@ void ExpectPipelinesIdentical(const PipelineOutcome& a,
   ExpectStoresByteIdentical(a.spade->store(), b.spade->store());
 }
 
-TEST(StreamingPipelineTest, IdenticalToSequentialAcrossChunkAndThreadMatrix) {
+TEST(RunOfflineFromSourceTest, EqualsParseThenRunOfflineAtOneAndFourThreads) {
   const std::string nt = SmallSyntheticNt(250, 2);
-  PipelineOutcome sequential =
-      RunPipeline(nt, /*streaming=*/false, 4096, /*threads=*/1);
-  EXPECT_FALSE(sequential.insights.empty());
-  EXPECT_EQ(sequential.report.ingest.num_chunks, 0u);
-
-  for (size_t chunk : {size_t{1}, size_t{4096}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("chunk = " + std::to_string(chunk) +
-                   ", threads = " + std::to_string(threads));
-      PipelineOutcome streamed =
-          RunPipeline(nt, /*streaming=*/true, chunk, threads);
-      EXPECT_GT(streamed.report.ingest.num_chunks, 0u);
-      EXPECT_GT(streamed.report.ingest.wall_ms, 0.0);
-      ExpectPipelinesIdentical(sequential, streamed);
-    }
-  }
-}
-
-TEST(StreamingPipelineTest, SaturateFallsBackToTheSequentialPath) {
-  // Saturation rewrites the graph before tables exist, so streaming cannot
-  // apply; the source is drained and the sequential offline phase runs.
-  const std::string nt = SmallSyntheticNt(60, 1);
-  PipelineOutcome sequential =
-      RunPipeline(nt, /*streaming=*/false, 4096, 1, /*saturate=*/true);
-  PipelineOutcome streamed =
-      RunPipeline(nt, /*streaming=*/true, 64, 1, /*saturate=*/true);
-  EXPECT_EQ(streamed.report.ingest.num_chunks, 0u);  // fallback: no chunks
-  ExpectPipelinesIdentical(sequential, streamed);
-}
-
-TEST(ComputeAttrStatsRangeTest, MatchesSerialLoopAtEveryThreadCount) {
-  const std::string nt = SmallSyntheticNt(120, 1);
-  SequentialBuild sequential = BuildSequential(nt);
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-    TaskScheduler scheduler(pool.get());
-    std::vector<AttrStats> stats;
-    ComputeAttrStatsRange(*sequential.store, 0, &scheduler, &stats);
-    ExpectStatsIdentical(sequential.stats, stats);
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    PipelineOutcome parsed = RunFromParse(nt, threads);
+    EXPECT_FALSE(parsed.insights.empty());
+    PipelineOutcome drained = RunFromSource(nt, threads);
+    ExpectPipelinesIdentical(parsed, drained);
+    // The drain is part of this entry point's offline wall-clock.
+    EXPECT_GT(drained.report.timings.offline_wall_ms, 0.0);
   }
+}
+
+TEST(RunOfflineFromSourceTest, EmptyChunksAreNotEndOfStream) {
+  // A source that interleaves empty chunks (a comment-only stretch of
+  // input) must not terminate or disturb the build.
+  Graph reference;
+  Graph drained;
+  std::vector<Triple> triples;
+  for (Graph* g : {&reference, &drained}) {
+    Dictionary& d = g->dict();
+    TermId p = d.InternIri("http://x/p");
+    TermId q = d.InternIri("http://x/q");
+    std::vector<Triple> local;
+    for (int i = 0; i < 10; ++i) {
+      TermId s = d.InternIri("http://x/s" + std::to_string(i));
+      local.push_back(Triple{s, p, d.InternInteger(i)});
+      if (i % 2 == 0) local.push_back(Triple{s, q, d.InternString("v")});
+    }
+    triples = local;  // identical intern order => identical ids
+  }
+  for (const Triple& t : triples) reference.Add(t);
+  reference.Freeze();
+  Spade ref_spade(&reference, SpadeOptions{});
+  ASSERT_TRUE(ref_spade.RunOffline().ok());
+
+  VectorChunkSource source({{triples.begin(), triples.begin() + 3},
+                            {},
+                            {triples.begin() + 3, triples.begin() + 4},
+                            {},
+                            {},
+                            {triples.begin() + 4, triples.end()}});
+  Spade spade(&drained, SpadeOptions{});
+  ASSERT_TRUE(spade.RunOffline(&source).ok());
+  EXPECT_EQ(drained.NumTriples(), reference.NumTriples());
+  EXPECT_EQ(spade.report().num_triples, triples.size());
+  ExpectStoresByteIdentical(ref_spade.store(), spade.store());
+}
+
+TEST(RunOfflineFromSourceTest, ParseErrorPropagatesWithLineNumber) {
+  const std::string nt =
+      "<http://x/a> <http://x/p> <http://x/b> .\n"
+      "not a triple\n";
+  Graph graph;
+  Spade spade(&graph, SpadeOptions{});
+  std::istringstream in(nt);
+  NTriplesChunkSource source(in, &graph);
+  Status st = spade.RunOffline(&source);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("line 2"), std::string::npos) << st.ToString();
+  // Nothing was built: the online steps still refuse to run.
+  EXPECT_FALSE(spade.PrepareFactSets().ok());
 }
 
 }  // namespace

@@ -45,8 +45,8 @@ std::string SnapPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// Order-insensitive content fingerprint of a sealed store (same shape as
-/// the one bench_ingest prints): equal sealed stores => equal sums.
+/// Order-insensitive content fingerprint of a sealed store: equal sealed
+/// stores => equal sums.
 uint64_t StoreChecksum(const AttributeStore& store) {
   uint64_t sum = store.num_attributes();
   for (AttrId a = 0; a < store.num_attributes(); ++a) {

@@ -220,5 +220,67 @@ TEST_F(ServeEdgeTest, MaxDimsAboveTheCliBoundIsAnError) {
   EXPECT_EQ(stats.num_errors, 3u);
 }
 
+/// The lines of request `id`'s block, without their "#<id> " prefix.
+std::string BlockBody(const std::string& out, int id) {
+  const std::string prefix = "#" + std::to_string(id) + " ";
+  std::istringstream in(out);
+  std::string line;
+  std::string body;
+  while (std::getline(in, line)) {
+    if (line.compare(0, prefix.size(), prefix) == 0) {
+      body += line.substr(prefix.size()) + "\n";
+    }
+  }
+  return body;
+}
+
+TEST_F(ServeEdgeTest, NonFiniteTimeoutsAreErrorsAndHugeOnesNeverExpire) {
+  // nan and inf are refused (nan would also slip past a server cap, since
+  // nan > cap is false); 1e300 ms is past the clock and means "no deadline".
+  persist::ServeStats stats;
+  const std::string out = Run(
+      "explore top=1 timeout=nan\n"
+      "explore top=1 timeout=inf\n"
+      "explore top=1 timeout=1e300\n"
+      "explore top=1\n",
+      persist::ServeOptions(), &stats);
+  EXPECT_NE(out.find("#1 error: bad timeout 'nan' (want milliseconds >= 0)"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("#2 error: bad timeout 'inf' (want milliseconds >= 0)"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(stats.num_errors, 2u);
+  EXPECT_EQ(stats.num_truncated, 0u);
+  EXPECT_EQ(BlockBody(out, 3).rfind("ok 1\n", 0), 0u) << out;
+  EXPECT_EQ(BlockBody(out, 3), BlockBody(out, 4)) << out;
+
+  // Under a server cap the refusal stands: nan gets no uncapped pass.
+  persist::ServeOptions capped;
+  capped.request_deadline_ms = 60000;
+  EXPECT_NE(Run("explore top=1 timeout=nan\n", capped).find("#1 error: "),
+            std::string::npos);
+}
+
+TEST_F(ServeEdgeTest, MinSupportTakesTheCliRange) {
+  // The grammar takes --min-support's range, (0, 1], in a form nan fails.
+  persist::ServeStats stats;
+  const std::string out = Run(
+      "explore top=1 min-support=0\n"
+      "explore top=1 min-support=nan\n"
+      "explore top=1 min-support=1.5\n"
+      "explore top=1 min-support=1\n",
+      persist::ServeOptions(), &stats);
+  EXPECT_NE(out.find("#1 error: bad min-support '0' (want a ratio in (0, 1])"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("#2 error: bad min-support 'nan'"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("#3 error: bad min-support '1.5'"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("#4 ok"), std::string::npos) << out;
+  EXPECT_EQ(stats.num_errors, 3u);
+}
+
 }  // namespace
 }  // namespace spade

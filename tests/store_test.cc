@@ -264,117 +264,38 @@ TEST_F(StoreTest, DirectAttributesListsOnlyDirect) {
   EXPECT_EQ(db->DirectAttributes().size(), 2u);
 }
 
+TEST(AttributeTableTest, RowsStagedInOrderSealLikeRowsOutOfOrder) {
+  // Seal() skips its sort for rows staged in ascending order (the delta
+  // merge stages them so); the columns must match the same rows staged in
+  // reverse, duplicates included.
+  std::vector<AttributeTable::Row> rows;
+  for (TermId s = 1; s <= 40; ++s) {
+    for (TermId o = 1; o <= s % 4 + 1; ++o) rows.emplace_back(s, o);
+  }
+  rows.push_back(rows.back());  // an adjacent duplicate keeps the order
+  AttributeTable ordered;
+  for (const auto& [s, o] : rows) ordered.AddRow(s, o);
+  ordered.Seal();
+  AttributeTable reversed;
+  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
+    reversed.AddRow(it->first, it->second);
+  }
+  reversed.Seal();
+  auto same = [](auto a, auto b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  };
+  EXPECT_EQ(ordered.num_rows(), rows.size() - 1);
+  EXPECT_TRUE(same(ordered.subjects(), reversed.subjects()));
+  EXPECT_TRUE(same(ordered.offsets(), reversed.offsets()));
+  EXPECT_TRUE(same(ordered.objects(), reversed.objects()));
+}
+
 TEST(AttrOriginTest, Names) {
   EXPECT_STREQ(AttrOriginName(AttrOrigin::kDirect), "direct");
   EXPECT_STREQ(AttrOriginName(AttrOrigin::kCount), "count");
   EXPECT_STREQ(AttrOriginName(AttrOrigin::kKeyword), "keyword");
   EXPECT_STREQ(AttrOriginName(AttrOrigin::kLanguage), "language");
   EXPECT_STREQ(AttrOriginName(AttrOrigin::kPath), "path");
-}
-
-// --- SealFromSortedRuns: the streaming ingest's chunked CSR build ---------
-
-using Row = AttributeTable::Row;
-
-/// Deterministic row soup with duplicates within and across future chunks,
-/// multi-valued subjects, and non-monotone order (Seal must canonicalize).
-std::vector<Row> MakeRows(size_t n) {
-  std::vector<Row> rows;
-  rows.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    TermId s = static_cast<TermId>(1 + (i * 7919) % 97);   // scrambled subjects
-    TermId o = static_cast<TermId>(1 + (i * 104729) % 13); // few distinct values
-    rows.emplace_back(s, o);
-    if (i % 11 == 0) rows.emplace_back(s, o);              // in-chunk duplicate
-    if (i % 17 == 0 && !rows.empty()) rows.push_back(rows[i / 2]);  // cross-chunk
-  }
-  return rows;
-}
-
-void ExpectTablesByteIdentical(const AttributeTable& a, const AttributeTable& b) {
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  ASSERT_EQ(a.num_subjects(), b.num_subjects());
-  EXPECT_TRUE(std::equal(a.subjects().begin(), a.subjects().end(),
-                         b.subjects().begin()));
-  EXPECT_TRUE(std::equal(a.objects().begin(), a.objects().end(),
-                         b.objects().begin()));
-  for (size_t i = 0; i < a.num_subjects(); ++i) {
-    ASSERT_EQ(a.values(i).size(), b.values(i).size()) << "subject " << i;
-  }
-}
-
-TEST(SealFromSortedRunsTest, ChunkMergedEqualsSingleShotAtEveryChunkSize) {
-  std::vector<Row> rows = MakeRows(1000);
-
-  AttributeTable single;
-  for (const Row& r : rows) single.AddRow(r.first, r.second);
-  single.Seal();
-
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
-    SCOPED_TRACE("chunk = " + std::to_string(chunk));
-    // Per-chunk partial builders: sorted + deduplicated runs in chunk order,
-    // exactly what the ingest's scatter stage produces.
-    std::vector<std::vector<Row>> runs;
-    for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-      std::vector<Row> run(rows.begin() + begin,
-                           rows.begin() + std::min(begin + chunk, rows.size()));
-      std::sort(run.begin(), run.end());
-      run.erase(std::unique(run.begin(), run.end()), run.end());
-      runs.push_back(std::move(run));
-    }
-    std::vector<const std::vector<Row>*> run_ptrs;
-    for (const auto& run : runs) run_ptrs.push_back(&run);
-
-    AttributeTable merged;
-    merged.SealFromSortedRuns(run_ptrs);
-    ExpectTablesByteIdentical(single, merged);
-  }
-}
-
-TEST(SealFromSortedRunsTest, EmptyAndNullRuns) {
-  std::vector<Row> empty_run;
-  std::vector<Row> run = {{1, 5}, {2, 3}};
-  std::vector<const std::vector<Row>*> runs = {&empty_run, nullptr, &run,
-                                               &empty_run};
-  AttributeTable table;
-  table.SealFromSortedRuns(runs);
-  ASSERT_TRUE(table.sealed());
-  EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_EQ(table.ValuesOf(1).size(), 1u);
-  EXPECT_EQ(table.ValuesOf(1)[0], 5u);
-}
-
-TEST(SealFromSortedRunsTest, NoRunsSealsAnEmptyTable) {
-  AttributeTable table;
-  table.SealFromSortedRuns({});
-  ASSERT_TRUE(table.sealed());
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.num_subjects(), 0u);
-  EXPECT_EQ(table.ValuesOf(1).size(), 0u);
-}
-
-TEST(StoreTest2, DirectAttributeShellMatchesSequentialNaming) {
-  // Two IRIs with the same local name must get the same "#2" suffixing the
-  // sequential build applies.
-  Graph g;
-  Dictionary& d = g.dict();
-  TermId p1 = d.InternIri("http://x/name");
-  TermId p2 = d.InternIri("http://y/name");
-  AttributeStore store(&g);
-  AttributeTable* t1 = store.AddDirectAttributeShell(p1);
-  AttributeTable* t2 = store.AddDirectAttributeShell(p2);
-  EXPECT_EQ(t1->name, "name");
-  EXPECT_EQ(t2->name, "name#2");
-  EXPECT_EQ(t1->origin, AttrOrigin::kDirect);
-  EXPECT_EQ(t1->property, p1);
-  EXPECT_FALSE(t1->sealed());
-  // Shell pointers stay valid across later registrations (deque storage).
-  for (int i = 0; i < 64; ++i) {
-    store.AddDirectAttributeShell(
-        d.InternIri("http://z/p" + std::to_string(i)));
-  }
-  EXPECT_EQ(t1->property, p1);
-  EXPECT_EQ(store.FindAttribute("name#2").value(), 1u);
 }
 
 }  // namespace

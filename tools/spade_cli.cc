@@ -9,12 +9,8 @@
 //   --interestingness F  variance | skewness | kurtosis         (default variance)
 //   --algorithm A        mvdcube | pgcube | pgcube-distinct | arraycube
 //                                                               (default mvdcube)
-//   --threads N          worker threads (online phase and streaming ingest);
+//   --threads N          online-phase and serve worker threads;
 //                        0 = all cores                        (default 0)
-//   --stream-ingest      streaming offline build: overlap parsing with store
-//                        construction and the offline statistics pass
-//                        (.nt/.ttl only; results identical to sequential)
-//   --ingest-chunk N     triples per streamed chunk          (default 65536)
 //   --earlystop          enable confidence-interval pruning
 //   --no-derivations     disable derived properties (woD mode)
 //   --saturate           RDFS-saturate the graph before analysis
@@ -65,16 +61,16 @@
 //
 // Exit code 0 on success, 1 on any error (message on stderr).
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 
 #include "src/core/export.h"
 #include "src/core/present.h"
 #include "src/core/spade.h"
-#include "src/ingest/chunk_source.h"
 #include "src/net/tcp_server.h"
 #include "src/persist/serve.h"
 #include "src/rdf/csv2rdf.h"
@@ -96,8 +92,7 @@ int Usage() {
                "[--interestingness variance|skewness|kurtosis]\n"
                "                 [--algorithm mvdcube|pgcube|pgcube-distinct|"
                "arraycube] [--threads N]\n"
-               "                 [--stream-ingest] [--ingest-chunk N] "
-               "[--earlystop] [--no-derivations]\n"
+               "                 [--earlystop] [--no-derivations]\n"
                "                 [--saturate] [--max-dims N] "
                "[--min-support R] [--deadline-ms MS] [--max-bitmap-mb MB]\n"
                "                 [--json FILE] [--csv FILE]\n"
@@ -142,6 +137,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
+    // Millisecond flags take finite values only (nan and inf are refused).
+    auto parse_ms = [](const char* v, double* ms) {
+      return spade::ParseDouble(v, ms) && std::isfinite(*ms);
+    };
     if (arg == "--top") {
       const char* v = next();
       int64_t k;
@@ -184,15 +183,6 @@ int main(int argc, char** argv) {
         return Fail("--threads needs an integer in [0, 1024] (0 = all cores)");
       }
       options.num_threads = static_cast<size_t>(n);
-    } else if (arg == "--stream-ingest") {
-      options.ingest.enabled = true;
-    } else if (arg == "--ingest-chunk") {
-      const char* v = next();
-      int64_t n;
-      if (v == nullptr || !spade::ParseInt64(v, &n) || n <= 0) {
-        return Fail("--ingest-chunk needs a positive triple count");
-      }
-      options.ingest.chunk_triples = static_cast<size_t>(n);
     } else if (arg == "--earlystop") {
       options.enable_earlystop = true;
     } else if (arg == "--no-derivations") {
@@ -211,21 +201,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--min-support") {
       const char* v = next();
       double r;
-      if (v == nullptr || !spade::ParseDouble(v, &r) || r <= 0 || r > 1) {
+      if (v == nullptr || !spade::ParseDouble(v, &r) ||
+          !spade::ValidMinSupportRatio(r)) {
         return Fail("--min-support needs a ratio in (0, 1]");
       }
       options.enumeration.min_support_ratio = r;
     } else if (arg == "--deadline-ms") {
       const char* v = next();
       double ms;
-      if (v == nullptr || !spade::ParseDouble(v, &ms) || ms < 0) {
+      if (v == nullptr || !parse_ms(v, &ms) || ms < 0) {
         return Fail("--deadline-ms needs milliseconds >= 0 (0 = none)");
       }
       options.deadline_ms = ms;
     } else if (arg == "--max-bitmap-mb") {
       const char* v = next();
       int64_t mb;
-      if (v == nullptr || !spade::ParseInt64(v, &mb) || mb < 0) {
+      if (v == nullptr || !spade::ParseInt64(v, &mb) || mb < 0 ||
+          static_cast<uint64_t>(mb) > (UINT64_MAX >> 20)) {
         return Fail("--max-bitmap-mb needs megabytes >= 0 (0 = unlimited)");
       }
       options.max_bitmap_bytes = static_cast<uint64_t>(mb) << 20;
@@ -269,21 +261,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--request-timeout-ms") {
       const char* v = next();
       double ms;
-      if (v == nullptr || !spade::ParseDouble(v, &ms) || ms < 0) {
+      if (v == nullptr || !parse_ms(v, &ms) || ms < 0) {
         return Fail("--request-timeout-ms needs milliseconds >= 0 (0 = none)");
       }
       request_timeout_ms = ms;
     } else if (arg == "--idle-timeout-ms") {
       const char* v = next();
       double ms;
-      if (v == nullptr || !spade::ParseDouble(v, &ms) || ms < 0) {
+      if (v == nullptr || !parse_ms(v, &ms) || ms < 0) {
         return Fail("--idle-timeout-ms needs milliseconds >= 0 (0 = never)");
       }
       net_options.idle_timeout_ms = ms;
     } else if (arg == "--drain-ms") {
       const char* v = next();
       double ms;
-      if (v == nullptr || !spade::ParseDouble(v, &ms) || ms <= 0) {
+      if (v == nullptr || !parse_ms(v, &ms) || ms <= 0) {
         return Fail("--drain-ms needs milliseconds > 0");
       }
       net_options.drain_deadline_ms = ms;
@@ -317,16 +309,9 @@ int main(int argc, char** argv) {
     return Fail("need a DATA file or --load-store FILE");
   }
 
-  // --- Load + offline phase. Streaming ingest owns the file read: parsing
-  // overlaps store construction and the offline statistics pass, so "load"
-  // and "offline" are one step in that mode. A snapshot load replaces both:
-  // the pipeline attaches to the mmap'd file instead of ingesting.
+  // --- Load + offline phase. A snapshot load replaces both: the pipeline
+  // attaches to the mmap'd file instead of parsing and building.
   spade::Graph graph;
-  if (options.ingest.enabled && spade::EndsWith(data_path, ".csv")) {
-    std::cerr << "spade_cli: CSV input converts row-wise; "
-                 "ignoring --stream-ingest\n";
-    options.ingest.enabled = false;
-  }
   spade::Spade spade(&graph, options);
   if (!options.load_store.empty()) {
     spade::Timer timer;
@@ -335,31 +320,6 @@ int main(int argc, char** argv) {
     std::cerr << "attached snapshot " << options.load_store << " ("
               << graph.NumTriples() << " triples) in "
               << spade::FormatDouble(timer.ElapsedMillis(), 1) << " ms\n";
-  } else if (options.ingest.enabled) {
-    std::ifstream in(data_path);
-    if (!in) return Fail("cannot open " + data_path);
-    spade::Timer timer;
-    std::unique_ptr<spade::TripleChunkSource> source;
-    if (spade::EndsWith(data_path, ".ttl")) {
-      // Read straight into the string the source will own (Turtle needs the
-      // whole document buffered; avoid a second full-size copy).
-      in.seekg(0, std::ios::end);
-      std::string text(static_cast<size_t>(in.tellg()), '\0');
-      in.seekg(0);
-      in.read(text.data(), static_cast<std::streamsize>(text.size()));
-      source = std::make_unique<spade::TurtleChunkSource>(std::move(text),
-                                                          &graph);
-    } else {
-      source = std::make_unique<spade::NTriplesChunkSource>(in, &graph);
-    }
-    spade::Status st = spade.RunOffline(source.get());
-    if (!st.ok()) return Fail("offline phase: " + st.ToString());
-    std::cerr << "ingested " << graph.NumTriples() << " triples in "
-              << spade::FormatDouble(timer.ElapsedMillis(), 1) << " ms ("
-              << (spade.report().ingest.num_chunks > 0
-                      ? "streaming offline build"
-                      : "sequential offline build; streaming inapplicable")
-              << ")\n";
   } else {
     std::ifstream in(data_path);
     if (!in) return Fail("cannot open " + data_path);
@@ -457,15 +417,6 @@ int main(int argc, char** argv) {
     }
     std::cerr << " facts], sizing "
               << spade::FormatDouble(report.shard_merge_ms, 1) << " ms";
-  }
-  if (report.ingest.num_chunks > 0) {
-    std::cerr << "; ingest " << report.ingest.num_chunks << " chunk"
-              << (report.ingest.num_chunks == 1 ? "" : "s") << " (peak "
-              << report.ingest.peak_chunk_triples << " triples), wall "
-              << spade::FormatDouble(report.ingest.wall_ms, 1) << " ms (parse "
-              << spade::FormatDouble(report.ingest.parse_ms, 1)
-              << " ms, overlapped work "
-              << spade::FormatDouble(report.ingest.overlap_ms, 1) << " ms)";
   }
   if (report.lattice_workers_used > 0) {
     std::cerr << "; lattice compute " << report.lattice_workers_used
