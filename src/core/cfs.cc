@@ -27,7 +27,8 @@ std::vector<CandidateFactSet> SelectCandidateFactSets(
     for (TermId type : graph.AllTypes()) {
       CandidateFactSet cfs;
       cfs.origin = CandidateFactSet::Origin::kType;
-      cfs.name = "type:" + AttributeStore::LocalName(graph.dict().Get(type).lexical);
+      cfs.name =
+          "type:" + AttributeStore::LocalName(graph.dict().LexicalOf(type));
       cfs.members = graph.NodesOfType(type);
       cfs.type = type;
       add(std::move(cfs));
@@ -43,7 +44,7 @@ std::vector<CandidateFactSet> SelectCandidateFactSets(
     std::string name = "props:";
     for (TermId p : props) {
       if (name.size() > 6) name += "+";
-      name += AttributeStore::LocalName(graph.dict().Get(p).lexical);
+      name += AttributeStore::LocalName(graph.dict().LexicalOf(p));
     }
     cfs.name = name;
     std::vector<TermId> candidates;

@@ -34,9 +34,10 @@ VisualizationKind RecommendVisualization(const AggregateKey& key) {
 }
 
 std::string ValueLabel(const AttributeStore& db, TermId term) {
-  const Term& t = db.graph().dict().Get(term);
-  std::string label = t.kind == TermKind::kIri ? AttributeStore::LocalName(t.lexical)
-                                               : t.lexical;
+  const Dictionary& dict = db.graph().dict();
+  std::string label = dict.KindOf(term) == TermKind::kIri
+                          ? AttributeStore::LocalName(dict.LexicalOf(term))
+                          : std::string(dict.LexicalOf(term));
   return label.empty() ? "(empty)" : label;
 }
 

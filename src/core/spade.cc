@@ -496,11 +496,14 @@ std::string Spade::MdaToSparql(const AggregateKey& key) const {
   std::string head = "SELECT";
   std::string body;
   std::string comments;
+  auto iri = [this](TermId id) {
+    return "<" + std::string(graph_->dict().LexicalOf(id)) + ">";
+  };
 
   // CFS membership pattern.
   if (cfs.origin == CandidateFactSet::Origin::kType &&
       cfs.type != kInvalidTerm) {
-    body += "  ?cf a <" + graph_->dict().Get(cfs.type).lexical + "> .\n";
+    body += "  ?cf a " + iri(cfs.type) + " .\n";
   } else {
     comments += "# facts: " + cfs.name + " (" +
                 (cfs.origin == CandidateFactSet::Origin::kSummary
@@ -513,21 +516,18 @@ std::string Spade::MdaToSparql(const AggregateKey& key) const {
     const AttributeTable& table = db_->attribute(attr);
     switch (table.origin) {
       case AttrOrigin::kDirect:
-        return "  ?cf <" + graph_->dict().Get(table.property).lexical + "> " +
-               var + " .\n";
+        return "  ?cf " + iri(table.property) + " " + var + " .\n";
       case AttrOrigin::kPath: {
         // Recover the two hops from the derived-from chain: the table name
         // is "p/q"; derived_from points at p.
         const AttributeTable& first = db_->attribute(table.derived_from);
         std::string second = table.name.substr(first.name.size() + 1);
         auto second_id = db_->FindAttribute(second);
-        std::string p1 = "<" + graph_->dict().Get(first.property).lexical + ">";
+        std::string p1 = iri(first.property);
         std::string p2 =
             second_id.has_value() &&
                     db_->attribute(*second_id).property != kInvalidTerm
-                ? "<" + graph_->dict().Get(db_->attribute(*second_id).property)
-                            .lexical +
-                      ">"
+                ? iri(db_->attribute(*second_id).property)
                 : second;
         return "  ?cf " + p1 + "/" + p2 + " " + var + " .\n";
       }

@@ -169,7 +169,7 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
             touch_it != touched.end() ? *touch_it->second : no_delta;
         table = MergeTableWithDelta(base, d);
       }
-      table.name = AttributeStore::LocalName(graph_->dict().Get(p).lexical);
+      table.name = AttributeStore::LocalName(graph_->dict().LexicalOf(p));
       table.origin = AttrOrigin::kDirect;
       table.property = p;
       const AttrId id = new_db->AddAttribute(std::move(table));

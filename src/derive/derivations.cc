@@ -45,7 +45,7 @@ const std::vector<LangProfile>& LanguageProfiles() {
 }
 
 // Lower-cased alphabetic tokens of `text`.
-std::vector<std::string> Tokenize(const std::string& text) {
+std::vector<std::string> Tokenize(std::string_view text) {
   std::vector<std::string> tokens;
   std::string current;
   for (char c : text) {
@@ -63,7 +63,7 @@ std::vector<std::string> Tokenize(const std::string& text) {
 
 }  // namespace
 
-std::vector<std::string> ExtractKeywords(const std::string& text, size_t min_len) {
+std::vector<std::string> ExtractKeywords(std::string_view text, size_t min_len) {
   std::vector<std::string> out;
   std::set<std::string> seen;
   for (std::string& tok : Tokenize(text)) {
@@ -75,7 +75,7 @@ std::vector<std::string> ExtractKeywords(const std::string& text, size_t min_len
   return out;
 }
 
-std::string DetectLanguage(const std::string& text) {
+std::string DetectLanguage(std::string_view text) {
   std::vector<std::string> tokens = Tokenize(text);
   if (tokens.empty()) return "";
   const LangProfile* best = nullptr;
@@ -139,10 +139,10 @@ size_t DeriveKeywords(AttributeStore* db, const std::vector<AttrStats>& stats,
     for (size_t i = 0; i < src.num_subjects(); ++i) {
       TermId s = src.subject(i);
       for (TermId o : src.values(i)) {
-        const Term& term = dict.Get(o);
-        if (term.kind != TermKind::kLiteral) continue;
+        if (dict.KindOf(o) != TermKind::kLiteral) continue;
+        // Extract before interning: an intern invalidates LexicalOf's view.
         for (const std::string& kw :
-             ExtractKeywords(term.lexical, options.min_keyword_length)) {
+             ExtractKeywords(dict.LexicalOf(o), options.min_keyword_length)) {
           table.AddRow(s, dict.InternString(kw));
           if (table.num_staged() >= options.max_keyword_rows) break;
         }
@@ -173,18 +173,18 @@ size_t DeriveLanguages(AttributeStore* db, const std::vector<AttrStats>& stats,
     table.origin = AttrOrigin::kLanguage;
     table.derived_from = a;
     src.ForEachRow([&](TermId s, TermId o) {
-      const Term& term = dict.Get(o);
-      if (term.kind != TermKind::kLiteral) return;
+      if (dict.KindOf(o) != TermKind::kLiteral) return;
+      const std::string_view tag = dict.LanguageOf(o);
       std::string lang;
-      if (!term.language.empty()) {
+      if (!tag.empty()) {
         // Explicit language tags beat detection.
-        lang = term.language == "en"   ? "English"
-               : term.language == "fr" ? "French"
-               : term.language == "de" ? "German"
-               : term.language == "es" ? "Spanish"
-                                       : term.language;
+        lang = tag == "en"   ? "English"
+               : tag == "fr" ? "French"
+               : tag == "de" ? "German"
+               : tag == "es" ? "Spanish"
+                             : std::string(tag);
       } else {
-        lang = DetectLanguage(term.lexical);
+        lang = DetectLanguage(dict.LexicalOf(o));
       }
       if (lang.empty()) return;
       table.AddRow(s, dict.InternString(lang));

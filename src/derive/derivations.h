@@ -1,6 +1,8 @@
 #ifndef SPADE_DERIVE_DERIVATIONS_H_
 #define SPADE_DERIVE_DERIVATIONS_H_
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/stats/attr_stats.h"
@@ -65,11 +67,11 @@ size_t DerivePaths(AttributeStore* db, const std::vector<AttrStats>& stats,
 /// Tokenize a text value into keyword tokens: lower-cased alphabetic runs of
 /// at least `min_len` characters that are not stop words, capitalized as in
 /// the paper's example ("Petroleum", "Production").
-std::vector<std::string> ExtractKeywords(const std::string& text, size_t min_len);
+std::vector<std::string> ExtractKeywords(std::string_view text, size_t min_len);
 
 /// Heuristic language detection over stop-word hits; returns "English",
 /// "French", "German", "Spanish", or "" when undecidable.
-std::string DetectLanguage(const std::string& text);
+std::string DetectLanguage(std::string_view text);
 
 }  // namespace spade
 

@@ -430,15 +430,10 @@ TcpServeStats TcpServer::Run() {
   auto begin_drain = [&] {
     if (im.draining) return;
     im.draining = true;
+    // A deadline past the clock's range never fires.
     const Clock::time_point now = Clock::now();
-    im.cancel_at =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(
-                      options_.drain_deadline_ms));
-    im.hard_stop =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(
-                      2 * options_.drain_deadline_ms));
+    im.cancel_at = SteadyAfter(now, options_.drain_deadline_ms);
+    im.hard_stop = SteadyAfter(now, 2 * options_.drain_deadline_ms);
     // Stop accepting and stop reading; in-flight work drains.
     if (im.listen_fd >= 0) {
       CloseFd(im.listen_fd);
@@ -516,11 +511,7 @@ TcpServeStats TcpServer::Run() {
           (void)serial;
           const Clock::time_point base =
               c.inflight > 0 ? now : c.last_activity;
-          const Clock::time_point dl =
-              base + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             options_.idle_timeout_ms));
-          next = std::min(next, dl);
+          next = std::min(next, SteadyAfter(base, options_.idle_timeout_ms));
         }
       }
       if (im.draining) {
@@ -528,9 +519,9 @@ TcpServeStats TcpServer::Run() {
         next = std::min(next, im.hard_stop);
       }
       if (next != Clock::time_point::max()) {
+        // Clamped to a minute before the conversion to int.
         const double ms = MsSince(now, next);
-        timeout_ms = ms <= 0 ? 0 : static_cast<int>(ms) + 1;
-        timeout_ms = std::min(timeout_ms, 60000);
+        timeout_ms = ms <= 0 ? 0 : static_cast<int>(std::min(ms, 59999.0)) + 1;
       }
     }
 

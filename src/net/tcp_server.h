@@ -50,8 +50,7 @@ struct TcpServerOptions {
   /// Bind address; port 0 = ephemeral (read the bound port via port()).
   HostPort listen;
   /// Request-core knobs shared with pipe mode (threads, echo,
-  /// max_line_bytes, request_deadline_ms). ServeOptions::max_inflight is
-  /// pipe-mode backpressure; the TCP caps below replace it here.
+  /// max_line_bytes, request_deadline_ms, read_only).
   persist::ServeOptions serve;
   /// Connections beyond this are answered `busy` and closed at accept.
   size_t max_connections = 64;

@@ -331,9 +331,6 @@ ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
   std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.num_threads);
   TaskScheduler scheduler(pool.get());
   TaskGroup group(&scheduler);
-  const size_t max_inflight = options_.max_inflight == 0
-                                  ? 2 * scheduler.num_threads()
-                                  : options_.max_inflight;
 
   // Responses flush strictly in request order: each request owns a slot,
   // finished blocks park there until every earlier block has been written.
@@ -394,7 +391,7 @@ ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
       if (truncated) ++stats.num_truncated;
     });
     // Backpressure: don't read unboundedly ahead of evaluation.
-    group.WaitPendingBelow(max_inflight);
+    group.WaitPendingBelow(2 * scheduler.num_threads());
   }
   group.Wait();
   stats.wall_ms = timer.ElapsedMillis();

@@ -21,9 +21,6 @@ struct ServeOptions {
   /// Worker threads shared by all in-flight requests: 0 = hardware
   /// concurrency, 1 = serial.
   size_t num_threads = 1;
-  /// Requests evaluated concurrently before the reader blocks; 0 = twice the
-  /// resolved thread count.
-  size_t max_inflight = 0;
   /// Echo each request line into the output as a comment (request logs).
   bool echo = false;
   /// Longest request line accepted; longer lines get an `error:` response

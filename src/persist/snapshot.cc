@@ -251,31 +251,10 @@ Status SaveSnapshot(const AttributeStore& store,
   const Graph& graph = store.graph();
   const Dictionary& dict = graph.dict();
 
-  // Dictionary: flatten to a record array + string arena through the view
-  // accessors, so owned and borrowed dictionaries save identically.
+  // The dictionary is stored in its persisted layout already.
   const uint64_t num_terms = dict.size();
-  std::vector<Dictionary::ArenaRecord> records(1);  // slot 0 = invalid
-  records.reserve(num_terms + 1);
-  std::string arena;
-  for (TermId id = 1; id <= num_terms; ++id) {
-    const std::string_view lex = dict.LexicalOf(id);
-    const std::string_view lang = dict.LanguageOf(id);
-    if (lex.size() > std::numeric_limits<uint32_t>::max()) {
-      return Status::InvalidArgument("term lexical form too large to persist");
-    }
-    if (lang.size() > std::numeric_limits<uint16_t>::max()) {
-      return Status::InvalidArgument("language tag too large to persist");
-    }
-    Dictionary::ArenaRecord r;
-    r.lex_offset = arena.size();
-    r.lex_len = static_cast<uint32_t>(lex.size());
-    r.datatype = dict.DatatypeOf(id);
-    r.lang_len = static_cast<uint16_t>(lang.size());
-    r.kind = static_cast<uint8_t>(dict.KindOf(id));
-    records.push_back(r);
-    arena.append(lex);
-    arena.append(lang);
-  }
+  const Span<Dictionary::ArenaRecord> records = dict.records();
+  const Span<char> arena = dict.arena();
 
   // Triple permutations (freezes a dirty graph).
   const Span<Triple> spo = graph.triples();
@@ -392,9 +371,8 @@ Status SaveSnapshot(const AttributeStore& store,
     }
     Writer w(&out);
     try {
-      w.AddSegment(kDictRecords, 0, records.data(),
-                   records.size() * sizeof(Dictionary::ArenaRecord));
-      w.AddSegment(kDictArena, 0, arena.data(), arena.size());
+      w.AddSegment(kDictRecords, 0, records);
+      w.AddSegment(kDictArena, 0, arena);
       w.AddSegment(kTriplesSpo, 0, spo);
       w.AddSegment(kTriplesPos, 0, pos);
       w.AddSegment(kTriplesOsp, 0, osp);
@@ -623,13 +601,22 @@ Status SnapshotReader::Load(Graph* graph,
   Span<char> arena;
   SPADE_RETURN_NOT_OK(RequireSpan(*this, kDictRecords, 0, &records));
   SPADE_RETURN_NOT_OK(RequireSpan(*this, kDictArena, 0, &arena));
-  if (records.size() != header_.num_terms + 1) {
+  if (records.empty() || records.size() != header_.num_terms + 1) {
     return Status::ParseError("snapshot dictionary record count mismatch");
+  }
+  // Every accessor reads these fields directly, so each must be in range.
+  static const Dictionary::ArenaRecord kInvalidSlot;
+  if (std::memcmp(&records[0], &kInvalidSlot, sizeof(kInvalidSlot)) != 0) {
+    return Status::ParseError("snapshot dictionary slot 0 is not empty");
   }
   for (const Dictionary::ArenaRecord& r : records) {
     const uint64_t end = r.lex_offset + r.lex_len + r.lang_len;
     if (end < r.lex_offset || end > arena.size()) {
       return Status::ParseError("snapshot dictionary record out of arena bounds");
+    }
+    if (r.kind > static_cast<uint8_t>(TermKind::kBlank) ||
+        r.datatype > header_.num_terms) {
+      return Status::ParseError("snapshot dictionary record is malformed");
     }
   }
 

@@ -1,92 +1,90 @@
 #include "src/rdf/dictionary.h"
 
+#include <functional>
+#include <stdexcept>
+
 #include "src/util/string_util.h"
 
 namespace spade {
 
-Dictionary::Dictionary(Dictionary&& other)
-    : terms_(std::move(other.terms_)),
-      index_(std::move(other.index_)),
-      key_storage_(std::move(other.key_storage_)),
-      key_scratch_(std::move(other.key_scratch_)),
-      indexed_(other.indexed_),
-      records_(other.records_),
-      arena_(other.arena_),
-      term_cache_(std::move(other.term_cache_)),
-      xsd_integer_(other.xsd_integer_),
-      xsd_double_(other.xsd_double_) {
-  other.records_ = Span<ArenaRecord>();
-  other.arena_ = Span<char>();
-  other.indexed_ = true;
-  other.xsd_integer_ = kInvalidTerm;
-  other.xsd_double_ = kInvalidTerm;
+namespace {
+
+constexpr size_t kMinSlots = 16;
+
+size_t HashTerm(TermKind kind, std::string_view lexical, TermId datatype,
+                std::string_view language) {
+  const std::hash<std::string_view> hash;
+  uint64_t h = hash(lexical);
+  if (!language.empty()) h ^= hash(language) * 0x9e3779b97f4a7c15ULL;
+  h ^= (uint64_t{datatype} << 8 | static_cast<uint8_t>(kind)) *
+       0xc2b2ae3d27d4eb4fULL;
+  return static_cast<size_t>(h ^ (h >> 32));
 }
 
-Dictionary& Dictionary::operator=(Dictionary&& other) {
-  if (this == &other) return *this;
-  terms_ = std::move(other.terms_);
-  index_ = std::move(other.index_);
-  key_storage_ = std::move(other.key_storage_);
-  key_scratch_ = std::move(other.key_scratch_);
-  indexed_ = other.indexed_;
-  records_ = other.records_;
-  arena_ = other.arena_;
-  {
-    // term_cache_ is guarded in the read path; the destination keeps its own
-    // mutex and just takes the cached terms.
-    std::lock_guard<std::mutex> lock(other.cache_mutex_);
-    term_cache_ = std::move(other.term_cache_);
+}  // namespace
+
+Dictionary::Dictionary() : records_(1) { ViewOwned(); }  // slot 0 = invalid
+
+void Dictionary::Rehash() const {
+  num_slots_ = kMinSlots;
+  while (num_slots_ < 2 * (size() + 1)) num_slots_ *= 2;
+  slots_ = std::make_unique<TermId[]>(num_slots_);  // zeroed: all empty
+  const size_t mask = num_slots_ - 1;
+  for (TermId id = 1; id <= size(); ++id) {
+    // Ids are distinct terms: take the first empty slot, compare nothing.
+    size_t slot =
+        HashTerm(KindOf(id), LexicalOf(id), DatatypeOf(id), LanguageOf(id)) &
+        mask;
+    while (slots_[slot] != kInvalidTerm) slot = (slot + 1) & mask;
+    slots_[slot] = id;
   }
-  xsd_integer_ = other.xsd_integer_;
-  xsd_double_ = other.xsd_double_;
-  other.records_ = Span<ArenaRecord>();
-  other.arena_ = Span<char>();
-  other.indexed_ = true;
-  other.xsd_integer_ = kInvalidTerm;
-  other.xsd_double_ = kInvalidTerm;
-  return *this;
 }
 
-void Dictionary::AppendKey(TermKind kind, std::string_view lexical,
-                           TermId datatype, std::string_view language,
-                           std::string* out) {
-  out->clear();
-  out->push_back(static_cast<char>('0' + static_cast<int>(kind)));
-  out->append(lexical);
-  out->push_back('\x01');
-  // Fixed-width datatype encoding: appending digits via to_string would
-  // allocate; four raw bytes are unambiguous and branch-free.
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((datatype >> shift) & 0xff));
+size_t Dictionary::FindSlot(TermKind kind, std::string_view lexical,
+                            TermId datatype, std::string_view language) const {
+  const size_t mask = num_slots_ - 1;
+  size_t slot = HashTerm(kind, lexical, datatype, language) & mask;
+  for (;; slot = (slot + 1) & mask) {
+    const TermId id = slots_[slot];
+    if (id == kInvalidTerm ||
+        (KindOf(id) == kind && DatatypeOf(id) == datatype &&
+         LexicalOf(id) == lexical && LanguageOf(id) == language)) {
+      return slot;
+    }
   }
-  out->push_back('\x01');
-  out->append(language);
-}
-
-void Dictionary::EnsureIndexed() const {
-  if (indexed_) return;
-  // Borrowed dictionary, first Intern/Lookup: index every arena term. The
-  // keys must own their bytes (the scratch buffer is reused), so this is the
-  // one O(terms)-allocation step of a loaded dictionary — and it only runs
-  // when somebody actually needs to intern or look up by value.
-  for (TermId id = 1; id < records_.size(); ++id) {
-    key_storage_.emplace_back();
-    std::string* key = &key_storage_.back();
-    AppendKey(KindOf(id), LexicalOf(id), DatatypeOf(id), LanguageOf(id), key);
-    index_.emplace(std::string_view(*key), id);
-  }
-  indexed_ = true;
 }
 
 TermId Dictionary::Intern(const Term& term) {
-  EnsureIndexed();
-  AppendKey(term.kind, term.lexical, term.datatype, term.language, &key_scratch_);
-  auto it = index_.find(std::string_view(key_scratch_));
-  if (it != index_.end()) return it->second;
-  const TermId id = static_cast<TermId>(records_.size() + terms_.size());
-  terms_.push_back(term);
-  key_storage_.push_back(key_scratch_);
-  index_.emplace(std::string_view(key_storage_.back()), id);
+  if (term.lexical.size() > kMaxLexicalBytes) {
+    throw std::length_error("term lexical form longer than 4 GiB");
+  }
+  if (term.language.size() > kMaxLanguageBytes) {
+    throw std::length_error("language tag longer than 65535 bytes");
+  }
+  if (slots_ == nullptr) Rehash();
+  if (attached()) {
+    // Thaw: appends go to owned vectors, never to the mapping.
+    records_.assign(records_view_.begin(), records_view_.end());
+    arena_.assign(arena_view_.begin(), arena_view_.end());
+    ViewOwned();
+  }
+  const size_t slot =
+      FindSlot(term.kind, term.lexical, term.datatype, term.language);
+  if (slots_[slot] != kInvalidTerm) return slots_[slot];
+
+  const TermId id = static_cast<TermId>(records_.size());
+  ArenaRecord r;
+  r.lex_offset = arena_.size();
+  r.lex_len = static_cast<uint32_t>(term.lexical.size());
+  r.datatype = term.datatype;
+  r.lang_len = static_cast<uint16_t>(term.language.size());
+  r.kind = static_cast<uint8_t>(term.kind);
+  records_.push_back(r);
+  arena_.insert(arena_.end(), term.lexical.begin(), term.lexical.end());
+  arena_.insert(arena_.end(), term.language.begin(), term.language.end());
+  ViewOwned();
+  slots_[slot] = id;
+  if (2 * (size() + 1) > num_slots_) Rehash();
   return id;
 }
 
@@ -101,32 +99,16 @@ TermId Dictionary::InternDouble(double v) {
 }
 
 std::optional<TermId> Dictionary::Lookup(const Term& term) const {
-  EnsureIndexed();
-  // Local probe buffer: Lookup stays safe for concurrent readers of an
-  // indexed dictionary (it is a cold path; Intern owns the scratch member).
-  std::string key;
-  AppendKey(term.kind, term.lexical, term.datatype, term.language, &key);
-  auto it = index_.find(std::string_view(key));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  if (slots_ == nullptr) Rehash();
+  const TermId id =
+      slots_[FindSlot(term.kind, term.lexical, term.datatype, term.language)];
+  if (id == kInvalidTerm) return std::nullopt;
+  return id;
 }
 
-const Term& Dictionary::Get(TermId id) const {
-  if (id >= records_.size()) {
-    // Owned mode entirely (records_ is empty), or borrowed overflow.
-    return terms_[id - records_.size()];
-  }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = term_cache_.find(id);
-  if (it == term_cache_.end()) {
-    Term t;
-    t.kind = KindOf(id);
-    t.lexical = std::string(LexicalOf(id));
-    t.datatype = DatatypeOf(id);
-    t.language = std::string(LanguageOf(id));
-    it = term_cache_.emplace(id, std::move(t)).first;
-  }
-  return it->second;
+Term Dictionary::Get(TermId id) const {
+  return Term{KindOf(id), std::string(LexicalOf(id)), DatatypeOf(id),
+              std::string(LanguageOf(id))};
 }
 
 bool Dictionary::NumericValue(TermId id, double* out) const {
@@ -136,17 +118,13 @@ bool Dictionary::NumericValue(TermId id, double* out) const {
 }
 
 void Dictionary::AttachArena(Span<ArenaRecord> records, Span<char> arena) {
-  records_ = records;
-  arena_ = arena;
-  terms_.clear();
-  index_.clear();
-  key_storage_.clear();
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    term_cache_.clear();
-  }
-  indexed_ = false;
-  // Re-resolved through the lazy index if anything interns after the attach.
+  records_ = std::vector<ArenaRecord>();
+  arena_ = std::vector<char>();
+  records_view_ = records;
+  arena_view_ = arena;
+  slots_.reset();
+  num_slots_ = 0;
+  // Re-resolved through the index if anything interns after the attach.
   xsd_integer_ = kInvalidTerm;
   xsd_double_ = kInvalidTerm;
 }

@@ -2,12 +2,11 @@
 #define SPADE_RDF_DICTIONARY_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/rdf/term.h"
@@ -17,38 +16,49 @@ namespace spade {
 
 /// \brief Bidirectional term <-> TermId mapping.
 ///
-/// All triples are dictionary-encoded on ingestion; ids are dense and start
-/// at 1 (0 is kInvalidTerm), so modules can use ids directly as array
-/// indices. Interning the same term twice returns the same id.
+/// All triples are dictionary-encoded on ingestion; ids are dense, assigned
+/// in intern order and start at 1 (0 is kInvalidTerm), so modules can use
+/// ids directly as array indices. Interning the same term twice returns the
+/// same id.
 ///
-/// Two storage modes share one id space:
+/// Every term is stored one way, the layout snapshots persist: a record
+/// array (slot 0 invalid) of byte ranges into one arena that holds each
+/// term's lexical bytes, then its language bytes. The read accessors go
+/// through two views, which point either at the dictionary's own vectors
+/// or, after AttachArena(), at a snapshot's records and arena (typically an
+/// mmap'd segment): one path, no copies, no locks, no allocation. The
+/// intern index is an open-addressing table of TermIds, hashed from (kind,
+/// lexical, datatype, language) as read back through the records. After an
+/// attach it is built lazily, by the first Lookup or Intern; the first
+/// Intern also copies the attached records and arena into the owned
+/// vectors ("thaws" them), so appends never touch the mapping. Saving is a
+/// copy of records() and arena().
 ///
-///  - **Owned** (the build path): terms live in a vector, the intern index
-///    maps composite keys to ids. The index is keyed by string_view into
-///    key strings the dictionary owns, so the Intern/Lookup hot path probes
-///    with a reused scratch buffer and allocates only for genuinely new
-///    terms — not once per triple.
-///  - **Borrowed** (the snapshot load path): AttachArena() points the
-///    dictionary at a flat record array + string arena (typically an mmap'd
-///    snapshot segment). The view accessors (KindOf/LexicalOf/LanguageOf/
-///    DatatypeOf) read the arena directly with zero copies; Get() lazily
-///    materializes full Terms into a small cache; Intern() of a new term
-///    transparently appends to owned overflow storage, so a loaded
-///    dictionary still supports every operation.
+/// Move-only: a move keeps every view valid because a vector move keeps its
+/// buffer (which is also why the arena is a vector<char>, not a string).
+/// Any mutation invalidates the string_views handed out before it.
 class Dictionary {
  public:
-  Dictionary() { terms_.emplace_back(); }  // slot 0 = invalid
+  /// One term of the record array: a byte range of the arena (language
+  /// bytes follow the lexical bytes). Fixed 24-byte layout, persisted
+  /// verbatim; bump the snapshot version when changing it.
+  struct ArenaRecord {
+    uint64_t lex_offset = 0;  ///< byte offset of the lexical form
+    uint32_t lex_len = 0;     ///< lexical byte count
+    uint32_t datatype = 0;    ///< datatype TermId (kInvalidTerm = none)
+    uint16_t lang_len = 0;    ///< language-tag bytes, stored after lexical
+    uint8_t kind = 0;         ///< TermKind
+    uint8_t pad0 = 0;
+    uint32_t pad1 = 0;
+  };
+  static_assert(sizeof(ArenaRecord) == 24, "persisted layout");
 
-  /// Movable: compaction builds a canonical replacement graph and moves it
-  /// (dictionary included) over the live one. The intern index keys are
-  /// string_views into deque-backed storage whose element addresses survive
-  /// the move; the term-cache mutex is not movable, so the destination gets
-  /// a fresh one (moves require external synchronization anyway, like every
-  /// other mutation).
-  Dictionary(Dictionary&& other);
-  Dictionary& operator=(Dictionary&& other);
-  Dictionary(const Dictionary&) = delete;
-  Dictionary& operator=(const Dictionary&) = delete;
+  /// Longest lexical form and language tag a record can hold. The readers
+  /// refuse longer ones; Intern throws std::length_error.
+  static constexpr size_t kMaxLexicalBytes = std::numeric_limits<uint32_t>::max();
+  static constexpr size_t kMaxLanguageBytes = std::numeric_limits<uint16_t>::max();
+
+  Dictionary();
 
   /// Intern a term, returning its (possibly pre-existing) id.
   /// Not thread-safe (external synchronization, as for any mutation).
@@ -61,102 +71,72 @@ class Dictionary {
   TermId InternInteger(int64_t v);
   TermId InternDouble(double v);
 
-  /// Lookup without interning. On a borrowed dictionary the first call
-  /// builds the lazy intern index (so it is not const-thread-safe until
-  /// either Lookup or Intern has run once after AttachArena).
+  /// Lookup without interning. On an attached dictionary the first call
+  /// builds the intern index (so it is not const-thread-safe until either
+  /// Lookup or Intern has run once after AttachArena).
   std::optional<TermId> Lookup(const Term& term) const;
 
-  /// Full term of `id`. Borrowed mode materializes the term once into a
-  /// mutex-guarded cache (references stay valid for the dictionary's
-  /// lifetime); hot paths should prefer the view accessors below, which
-  /// never allocate or lock in either mode.
-  const Term& Get(TermId id) const;
-
-  // --- View accessors: allocation-free in both modes. ---------------------
+  /// Full term of `id`, copied out. The view accessors below read the same
+  /// fields without allocating.
+  Term Get(TermId id) const;
 
   TermKind KindOf(TermId id) const {
-    if (id < records_.size()) return static_cast<TermKind>(records_[id].kind);
-    return terms_[id - records_.size()].kind;
+    return static_cast<TermKind>(records_view_[id].kind);
   }
   std::string_view LexicalOf(TermId id) const {
-    if (id < records_.size()) {
-      const ArenaRecord& r = records_[id];
-      return std::string_view(arena_.data() + r.lex_offset, r.lex_len);
-    }
-    return terms_[id - records_.size()].lexical;
+    const ArenaRecord& r = records_view_[id];
+    return std::string_view(arena_view_.data() + r.lex_offset, r.lex_len);
   }
   std::string_view LanguageOf(TermId id) const {
-    if (id < records_.size()) {
-      const ArenaRecord& r = records_[id];
-      return std::string_view(arena_.data() + r.lex_offset + r.lex_len,
-                              r.lang_len);
-    }
-    return terms_[id - records_.size()].language;
+    const ArenaRecord& r = records_view_[id];
+    return std::string_view(arena_view_.data() + r.lex_offset + r.lex_len,
+                            r.lang_len);
   }
-  TermId DatatypeOf(TermId id) const {
-    if (id < records_.size()) return records_[id].datatype;
-    return terms_[id - records_.size()].datatype;
-  }
+  TermId DatatypeOf(TermId id) const { return records_view_[id].datatype; }
 
   /// Number of interned terms (excluding the invalid slot).
-  size_t size() const {
-    return borrowed() ? records_.size() - 1 + terms_.size() : terms_.size() - 1;
-  }
+  size_t size() const { return records_view_.size() - 1; }
 
   /// Largest valid id (== size()).
   TermId max_id() const { return static_cast<TermId>(size()); }
 
   /// True if `id` names a literal whose lexical form parses as a number;
-  /// fills *out. Reads the arena directly in borrowed mode (hot path of the
-  /// measure loaders).
+  /// fills *out (hot path of the measure loaders).
   bool NumericValue(TermId id, double* out) const;
 
-  // --- Arena-backed borrowed mode (snapshot loading). ---------------------
+  /// The record array (slot 0 invalid) and the arena, as a snapshot stores
+  /// them. Valid until the next mutation.
+  Span<ArenaRecord> records() const { return records_view_; }
+  Span<char> arena() const { return arena_view_; }
 
-  /// One term of the flat snapshot representation: offsets into the string
-  /// arena (language bytes follow the lexical bytes). Fixed 24-byte layout,
-  /// persisted verbatim; bump the snapshot version when changing it.
-  struct ArenaRecord {
-    uint64_t lex_offset = 0;  ///< byte offset of the lexical form
-    uint32_t lex_len = 0;     ///< lexical byte count
-    uint32_t datatype = 0;    ///< datatype TermId (kInvalidTerm = none)
-    uint16_t lang_len = 0;    ///< language-tag bytes, stored after lexical
-    uint8_t kind = 0;         ///< TermKind
-    uint8_t pad0 = 0;
-    uint32_t pad1 = 0;
-  };
-  static_assert(sizeof(ArenaRecord) == 24, "persisted layout");
-
-  /// Replace the dictionary's contents with a borrowed record array +
-  /// string arena. records[0] must be the invalid slot (id == index). The
-  /// backing memory must outlive the dictionary (or the next AttachArena).
-  /// Any previously interned terms are discarded.
+  /// Replace the dictionary's contents with a snapshot's record array +
+  /// arena. records[0] must be the invalid slot (id == index). The backing
+  /// memory must outlive the dictionary, or its first Intern.
   void AttachArena(Span<ArenaRecord> records, Span<char> arena);
 
-  bool borrowed() const { return !records_.empty(); }
-
  private:
-  /// Append the composite intern key of a term to *out (cleared first).
-  static void AppendKey(TermKind kind, std::string_view lexical, TermId datatype,
-                        std::string_view language, std::string* out);
-  /// Build the intern index over borrowed records on first Intern/Lookup
-  /// after AttachArena (O(terms); the loaded pipeline never needs it).
-  void EnsureIndexed() const;
+  bool attached() const { return records_view_.data() != records_.data(); }
+  /// Point the views at the owned vectors.
+  void ViewOwned() {
+    records_view_ = Span<ArenaRecord>(records_);
+    arena_view_ = Span<char>(arena_);
+  }
+  /// (Re)build the intern index over every term, at most half full. The
+  /// first Lookup or Intern after an attach calls it.
+  void Rehash() const;
+  /// The index slot holding the term, or the empty slot where it would go.
+  size_t FindSlot(TermKind kind, std::string_view lexical, TermId datatype,
+                  std::string_view language) const;
 
-  std::vector<Term> terms_;  ///< owned terms; borrowed mode: overflow only
-  /// Intern index. Keys are string_views into key_storage_ entries (deque:
-  /// stable addresses). Mutable: built lazily on borrowed dictionaries.
-  mutable std::unordered_map<std::string_view, TermId> index_;
-  mutable std::deque<std::string> key_storage_;
-  /// Reused probe buffer: Intern of an already-known term allocates nothing.
-  std::string key_scratch_;
-  mutable bool indexed_ = true;  ///< false between AttachArena and EnsureIndexed
+  std::vector<ArenaRecord> records_;  ///< owned; empty while attached
+  std::vector<char> arena_;           ///< owned; empty while attached
+  Span<ArenaRecord> records_view_;    ///< records_ or the attached records
+  Span<char> arena_view_;             ///< arena_ or the attached arena
 
-  // Borrowed read path (empty in owned mode).
-  Span<ArenaRecord> records_;
-  Span<char> arena_;
-  mutable std::mutex cache_mutex_;
-  mutable std::unordered_map<TermId, Term> term_cache_;  // node-based: stable refs
+  /// Intern index: TermIds, kInvalidTerm = empty, linear probing, at most
+  /// half full. Null after an attach until Rehash().
+  mutable std::unique_ptr<TermId[]> slots_;
+  mutable size_t num_slots_ = 0;
 
   // Cached datatype ids, interned lazily.
   TermId xsd_integer_ = kInvalidTerm;

@@ -139,6 +139,9 @@ Status ParseTerm(std::string_view line, size_t* i, bool allow_literal, Term* out
     std::string lex;
     size_t close = 0;
     SPADE_RETURN_NOT_OK(DecodeQuoted(line, *i + 1, &lex, &close));
+    if (lex.size() > Dictionary::kMaxLexicalBytes) {
+      return Status::ParseError("lexical form longer than 4 GiB");
+    }
     size_t j = close + 1;
     TermId datatype = kInvalidTerm;
     std::string lang;
@@ -146,6 +149,9 @@ Status ParseTerm(std::string_view line, size_t* i, bool allow_literal, Term* out
       size_t k = j + 1;
       while (k < line.size() && line[k] != ' ' && line[k] != '\t') ++k;
       lang = std::string(line.substr(j + 1, k - j - 1));
+      if (lang.size() > Dictionary::kMaxLanguageBytes) {
+        return Status::ParseError("language tag longer than 65535 bytes");
+      }
       j = k;
     } else if (j + 1 < line.size() && line[j] == '^' && line[j + 1] == '^') {
       if (j + 2 >= line.size() || line[j + 2] != '<') {
@@ -232,15 +238,15 @@ Status NTriplesReader::ParseString(std::string_view text, Graph* graph) {
 }
 
 std::string NTriplesWriter::FormatTerm(const Dictionary& dict, TermId id) {
-  const Term& t = dict.Get(id);
-  switch (t.kind) {
+  const std::string lexical(dict.LexicalOf(id));
+  switch (dict.KindOf(id)) {
     case TermKind::kIri:
-      return "<" + t.lexical + ">";
+      return "<" + lexical + ">";
     case TermKind::kBlank:
-      return "_:" + t.lexical;
+      return "_:" + lexical;
     case TermKind::kLiteral: {
       std::string out = "\"";
-      for (char c : t.lexical) {
+      for (char c : lexical) {
         switch (c) {
           case '"':
             out += "\\\"";
@@ -262,10 +268,11 @@ std::string NTriplesWriter::FormatTerm(const Dictionary& dict, TermId id) {
         }
       }
       out += "\"";
-      if (!t.language.empty()) {
-        out += "@" + t.language;
-      } else if (t.datatype != kInvalidTerm) {
-        out += "^^<" + dict.Get(t.datatype).lexical + ">";
+      if (!dict.LanguageOf(id).empty()) {
+        out.append("@").append(dict.LanguageOf(id));
+      } else if (dict.DatatypeOf(id) != kInvalidTerm) {
+        out.append("^^<").append(dict.LexicalOf(dict.DatatypeOf(id)));
+        out += ">";
       }
       return out;
     }

@@ -91,8 +91,7 @@ size_t Saturate(Graph* graph) {
     }
     auto rit = prop_range.find(t.p);
     if (rit != prop_range.end()) {
-      const Term& obj = dict.Get(t.o);
-      if (obj.kind != TermKind::kLiteral) {
+      if (dict.KindOf(t.o) != TermKind::kLiteral) {
         for (TermId c : rit->second) graph->Add(t.o, type, c);
       }
     }

@@ -190,7 +190,7 @@ class TurtleParser {
         predicate = graph_->rdf_type();
       } else {
         SPADE_RETURN_NOT_OK(ParseTerm(/*as_subject=*/true, &predicate));
-        if (dict_->Get(predicate).kind != TermKind::kIri) {
+        if (dict_->KindOf(predicate) != TermKind::kIri) {
           return Err("predicate must be an IRI");
         }
       }
@@ -430,6 +430,9 @@ class TurtleParser {
       lex.push_back(c);
       ++pos_;
     }
+    if (lex.size() > Dictionary::kMaxLexicalBytes) {
+      return Err("lexical form longer than 4 GiB");
+    }
     // Language tag or datatype.
     TermId datatype = kInvalidTerm;
     std::string lang;
@@ -441,6 +444,9 @@ class TurtleParser {
         ++pos_;
       }
       lang = std::string(text_.substr(start, pos_ - start));
+      if (lang.size() > Dictionary::kMaxLanguageBytes) {
+        return Err("language tag longer than 65535 bytes");
+      }
     } else if (Peek() == '^' && PeekAt(1) == '^') {
       pos_ += 2;
       TermId dt_term;

@@ -47,8 +47,8 @@ bool FilterPasses(const Filter& f, TermId value, const Dictionary& dict) {
       return value != f.term;
     default: {
       // Order non-numeric terms by lexical form.
-      const std::string& a = dict.Get(value).lexical;
-      const std::string& b = dict.Get(f.term).lexical;
+      const std::string_view a = dict.LexicalOf(value);
+      const std::string_view b = dict.LexicalOf(f.term);
       switch (f.op) {
         case Filter::Op::kLt:
           return a < b;

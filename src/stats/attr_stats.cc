@@ -41,7 +41,7 @@ size_t CountDistinct(std::vector<TermId>* values) {
 
 }  // namespace
 
-bool LooksLikeDate(const std::string& s) {
+bool LooksLikeDate(std::string_view s) {
   if (s.size() != 10 || s[4] != '-' || s[7] != '-') return false;
   for (size_t i : {0u, 1u, 2u, 3u, 5u, 6u, 8u, 9u}) {
     if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
@@ -69,26 +69,26 @@ AttrStats ComputeAttrStats(const AttributeStore& db, AttrId attr) {
     if (table.values(i).size() >= 2) ++st.num_multi_subjects;
   }
   for (TermId o : table.objects()) {
-    const Term& term = dict.Get(o);
-    if (term.kind != TermKind::kLiteral) {
+    if (dict.KindOf(o) != TermKind::kLiteral) {
       ++num_ref;
       continue;
     }
+    const std::string_view lexical = dict.LexicalOf(o);
     int64_t iv;
     double dv;
-    if (ParseInt64(term.lexical, &iv)) {
+    if (ParseInt64(lexical, &iv)) {
       ++num_int;
       st.min_value = std::min(st.min_value, static_cast<double>(iv));
       st.max_value = std::max(st.max_value, static_cast<double>(iv));
-    } else if (ParseDouble(term.lexical, &dv)) {
+    } else if (ParseDouble(lexical, &dv)) {
       ++num_dec;
       st.min_value = std::min(st.min_value, dv);
       st.max_value = std::max(st.max_value, dv);
-    } else if (LooksLikeDate(term.lexical)) {
+    } else if (LooksLikeDate(lexical)) {
       ++num_date;
     } else {
       ++num_text;
-      total_len += static_cast<double>(term.lexical.size());
+      total_len += static_cast<double>(lexical.size());
     }
   }
   std::vector<TermId> values(table.objects().begin(), table.objects().end());

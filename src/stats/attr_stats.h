@@ -2,6 +2,7 @@
 #define SPADE_STATS_ATTR_STATS_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/store/attribute_store.h"
 
@@ -70,7 +71,7 @@ OnlineAttrStats ComputeOnlineStats(const AttributeStore& db, const CfsIndex& cfs
                                    AttrId attr);
 
 /// True if the literal's lexical form looks like an xsd:date (YYYY-MM-DD).
-bool LooksLikeDate(const std::string& lexical);
+bool LooksLikeDate(std::string_view lexical);
 
 }  // namespace spade
 

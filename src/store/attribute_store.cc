@@ -84,7 +84,7 @@ void AttributeStore::BuildDirectAttributes() {
   for (TermId p : graph_->AllProperties()) {
     if (p == rdf_type) continue;
     AttributeTable table;
-    table.name = LocalName(graph_->dict().Get(p).lexical);
+    table.name = LocalName(graph_->dict().LexicalOf(p));
     table.origin = AttrOrigin::kDirect;
     table.property = p;
     graph_->Match(kInvalidTerm, p, kInvalidTerm, [&](const Triple& t) {
@@ -124,10 +124,12 @@ std::vector<AttrId> AttributeStore::DirectAttributes() const {
   return out;
 }
 
-std::string AttributeStore::LocalName(const std::string& iri) {
+std::string AttributeStore::LocalName(std::string_view iri) {
   size_t pos = iri.find_last_of("#/");
-  if (pos == std::string::npos || pos + 1 >= iri.size()) return iri;
-  return iri.substr(pos + 1);
+  if (pos == std::string_view::npos || pos + 1 >= iri.size()) {
+    return std::string(iri);
+  }
+  return std::string(iri.substr(pos + 1));
 }
 
 }  // namespace spade

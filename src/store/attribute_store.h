@@ -6,6 +6,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -305,7 +306,7 @@ class AttributeStore {
   Dictionary* mutable_dict() { return &graph_->dict(); }
 
   /// Human-readable local name of a property IRI (suffix after '#' or '/').
-  static std::string LocalName(const std::string& iri);
+  static std::string LocalName(std::string_view iri);
 
  private:
   Graph* graph_;

@@ -47,7 +47,7 @@ StructuralSummary StructuralSummary::Build(const Graph& graph,
   std::map<TermId, size_t> out_prop_index, in_prop_index;
   auto is_node = [&](TermId id) {
     return !options.skip_literal_nodes ||
-           dict.Get(id).kind != TermKind::kLiteral;
+           dict.KindOf(id) != TermKind::kLiteral;
   };
   for (const Triple& t : graph.triples()) {
     if (t.p == rdf_type) continue;

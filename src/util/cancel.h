@@ -58,6 +58,22 @@ class CancelToken {
   std::atomic<uint8_t> state_;
 };
 
+/// `ms` after `base` on the steady clock. Not above 0 (NaN included) is
+/// `base`; a wait the clock cannot represent (within 1 ms of its end, +inf
+/// included) is time_point::max(), a time that never comes.
+inline std::chrono::steady_clock::time_point SteadyAfter(
+    std::chrono::steady_clock::time_point base, double ms) {
+  using Clock = std::chrono::steady_clock;
+  if (!(ms > 0)) return base;
+  const std::chrono::duration<double, std::milli> wait(ms);
+  // The 1 ms margin absorbs the rounding of the double comparison, so the
+  // cast and the sum below stay in range.
+  if (wait >= Clock::time_point::max() - base - std::chrono::milliseconds(1)) {
+    return Clock::time_point::max();
+  }
+  return base + std::chrono::duration_cast<Clock::duration>(wait);
+}
+
 /// \brief A wall-clock cutoff on the steady clock.
 ///
 /// Deadline::Never() never expires; Deadline::After(0) is already expired
@@ -72,14 +88,7 @@ class Deadline {
   /// never expires.
   static Deadline After(double ms) {
     if (!(ms > 0)) return Deadline(Clock::time_point::min());
-    const Clock::time_point now = Clock::now();
-    const std::chrono::duration<double, std::milli> wait(ms);
-    // The 1 ms margin absorbs the rounding of the double comparison, so the
-    // cast and the sum below stay in range.
-    if (wait >= Clock::time_point::max() - now - std::chrono::milliseconds(1)) {
-      return Never();
-    }
-    return Deadline(now + std::chrono::duration_cast<Clock::duration>(wait));
+    return Deadline(SteadyAfter(Clock::now(), ms));
   }
 
   bool never() const { return when_ == Clock::time_point::max(); }

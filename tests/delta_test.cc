@@ -912,7 +912,6 @@ TEST(DeltaServeTest, ApplyAndCompactInterleavedWithConcurrentExplores) {
 
   persist::ServeOptions sopt;
   sopt.num_threads = 4;
-  sopt.max_inflight = 8;
   persist::InsightServer server(p.spade.get(), sopt);
   std::istringstream in(script.str());
   std::ostringstream out;

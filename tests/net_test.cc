@@ -438,6 +438,29 @@ TEST_F(NetTest, IdleConnectionsAreClosed) {
   EXPECT_EQ(stats.serve.num_requests, 0u);
 }
 
+TEST_F(NetTest, TimersPastTheClockRangeNeverFire) {
+  // 1e10 ms overflows the poll timeout's int, 1e13 ms the clock itself.
+  for (double idle_ms : {1e10, 1e13}) {
+    SCOPED_TRACE("idle_timeout_ms = " + std::to_string(idle_ms));
+    net::TcpServerOptions topt = Options();
+    topt.idle_timeout_ms = idle_ms;
+    topt.drain_deadline_ms = 1e13;
+    TestServer server(spade_, topt);
+    ASSERT_TRUE(server.Start().ok());
+
+    RawClient client;
+    ASSERT_NO_FATAL_FAILURE(client.Connect(server.port()));
+    ASSERT_TRUE(client.Send("stats\n"));
+    ASSERT_EQ(RawClient::CountOf(client.ReadUntil("end\n", 1), "end\n"), 1u);
+    server.RequestShutdown();
+    EXPECT_EQ(client.ReadAll(), "");
+    net::TcpServeStats stats = server.Stop();
+    EXPECT_TRUE(stats.drained_clean);
+    EXPECT_EQ(stats.serve.num_requests, 1u);
+    EXPECT_EQ(stats.num_idle_closed, 0u);
+  }
+}
+
 // --- Graceful drain ---------------------------------------------------------
 
 TEST_F(NetTest, ShutdownDrainsInFlightRepliesBeforeClosing) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "src/datagen/synthetic.h"
 #include "src/exec/cube_evaluator.h"
 #include "src/persist/serve.h"
+#include "src/rdf/ntriples.h"
 
 namespace spade {
 namespace {
@@ -182,8 +184,8 @@ TEST(SnapshotTest, RoundTripRestoresTheOfflineState) {
 }
 
 TEST(SnapshotTest, ResaveOfALoadedStoreIsByteIdentical) {
-  // SaveSnapshot reads through the view accessors, so saving a borrowed
-  // (just-loaded) state must reproduce the file bit for bit.
+  // SaveSnapshot copies the dictionary's records and arena, so saving a
+  // just-loaded state must reproduce the file bit for bit.
   const std::string path1 = SnapPath("gen1.snap");
   const std::string path2 = SnapPath("gen2.snap");
   BuildAndSave(path1, /*with_fact_sets=*/true);
@@ -282,12 +284,35 @@ TEST(SnapshotTest, BorrowedDictionaryLooksUpAndInternsPastTheArena) {
   EXPECT_EQ(dict.Intern(term), probe);
   EXPECT_EQ(dict.size(), arena_terms);
 
-  // A genuinely new term lands in the overflow region past the arena and
-  // reads back through the same accessors.
+  // A genuinely new term gets the next id and reads back through the same
+  // accessors.
   const TermId fresh = dict.InternIri("http://example.org/past-the-arena");
-  EXPECT_GE(fresh, arena_terms);
+  EXPECT_EQ(fresh, arena_terms + 1);
   EXPECT_EQ(dict.LexicalOf(fresh), "http://example.org/past-the-arena");
   EXPECT_EQ(dict.Intern(Term::Iri("http://example.org/past-the-arena")), fresh);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, LongestLanguageTagRoundTrips) {
+  const std::string tag(Dictionary::kMaxLanguageBytes, 'a');
+  const std::string path = SnapPath("longtag.snap");
+  {
+    Graph graph;
+    ASSERT_TRUE(NTriplesReader::ParseString(
+                    "<http://x/s> <http://x/p> \"x\"@" + tag + " .\n", &graph)
+                    .ok());
+    Spade spade(&graph, BaseOptions());
+    ASSERT_TRUE(spade.RunOffline().ok());
+    ASSERT_TRUE(spade.SaveStore(path).ok());
+  }
+  SpadeOptions options = BaseOptions();
+  options.load_store = path;
+  Graph loaded;
+  Spade spade(&loaded, options);  // owns the mapping the dictionary reads
+  ASSERT_TRUE(spade.RunOffline().ok());
+  const auto id = loaded.dict().Lookup(Term::Literal("x", kInvalidTerm, tag));
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(loaded.dict().LanguageOf(*id), tag);
   std::remove(path.c_str());
 }
 
@@ -319,6 +344,22 @@ class SnapshotErrorTest : public ::testing::Test {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return path;
+  }
+
+  /// Recompute every segment checksum and the TOC checksum, so only the
+  /// loader's structural checks stand between an edit and the accessors.
+  static void Reseal(std::string* bytes) {
+    persist::SnapshotHeader header;
+    std::memcpy(&header, bytes->data(), sizeof(header));
+    std::vector<persist::SegmentEntry> toc(header.num_segments);
+    const size_t toc_bytes = toc.size() * sizeof(persist::SegmentEntry);
+    std::memcpy(toc.data(), bytes->data() + header.toc_offset, toc_bytes);
+    for (persist::SegmentEntry& e : toc) {
+      e.checksum = persist::HashBytes(bytes->data() + e.offset, e.length);
+    }
+    std::memcpy(&(*bytes)[header.toc_offset], toc.data(), toc_bytes);
+    header.toc_checksum = persist::HashBytes(toc.data(), toc_bytes);
+    std::memcpy(&(*bytes)[0], &header, sizeof(header));
   }
 
   std::string path_;
@@ -384,6 +425,38 @@ TEST_F(SnapshotErrorTest, RejectsTruncatedFiles) {
     EXPECT_FALSE(reader.is_open());
     std::remove(p.c_str());
   }
+}
+
+TEST_F(SnapshotErrorTest, RejectsMalformedDictionaryRecords) {
+  using Record = Dictionary::ArenaRecord;
+  persist::SnapshotReader probe;
+  ASSERT_TRUE(probe.Open(path_).ok());
+  const persist::SegmentEntry& seg = *probe.Find(persist::kDictRecords);
+  const Span<Record> records = probe.GetSpan<Record>(seg);
+  size_t literal = 1;
+  while (records[literal].kind != static_cast<uint8_t>(TermKind::kLiteral)) {
+    ++literal;
+  }
+  auto expect_refused = [&](size_t index, void (*edit)(Record*)) {
+    std::string bytes = bytes_;
+    Record r = records[index];
+    edit(&r);
+    std::memcpy(&bytes[seg.offset + index * sizeof(Record)], &r, sizeof(r));
+    Reseal(&bytes);
+    const std::string p = WriteBytes(bytes);
+    persist::SnapshotReader reader;
+    ASSERT_TRUE(reader.Open(p).ok());  // every checksum holds
+    Graph graph;
+    std::unique_ptr<AttributeStore> store;
+    StructuralSummary summary;
+    std::vector<AttrStats> stats;
+    Status st = reader.Load(&graph, &store, &summary, &stats, nullptr, nullptr);
+    EXPECT_EQ(st.code(), Status::Code::kParseError) << index;
+    std::remove(p.c_str());
+  };
+  expect_refused(literal, [](Record* r) { r->datatype = 0x7ffffff0; });
+  expect_refused(literal, [](Record* r) { r->kind = 3; });
+  expect_refused(0, [](Record* r) { r->pad1 = 1; });
 }
 
 TEST_F(SnapshotErrorTest, MissingFileIsAStatusNotACrash) {

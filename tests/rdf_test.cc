@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/rdf/dictionary.h"
 #include "src/rdf/graph.h"
@@ -58,6 +60,89 @@ TEST(DictionaryTest, NumericValue) {
   EXPECT_FALSE(dict.NumericValue(dict.InternString("abc"), &v));
   EXPECT_FALSE(dict.NumericValue(dict.InternIri("http://17"), &v));
   EXPECT_FALSE(dict.NumericValue(kInvalidTerm, &v));
+}
+
+// Every kind, plain/typed/tagged literals, an empty lexical form and
+// non-ASCII bytes.
+void InternSample(Dictionary* dict, const std::string& suffix) {
+  dict->InternIri("http://x/a" + suffix);
+  dict->InternBlank("b" + suffix);
+  dict->InternString("");
+  dict->InternString("plain" + suffix);
+  dict->InternInteger(42);
+  dict->InternDouble(2.5);
+  dict->Intern(Term::Literal("chat\xc3\xa9" + suffix, kInvalidTerm, "fr"));
+  dict->Intern(Term::Literal("x", dict->InternIri("http://x/dt")));
+}
+
+/// A dictionary attached to copies of `from`'s records and arena, as a
+/// snapshot load attaches one to the mapping.
+struct AttachedCopy {
+  explicit AttachedCopy(const Dictionary& from)
+      : records(from.records().ToVector()), arena(from.arena().ToVector()) {
+    dict.AttachArena(records, arena);
+  }
+  std::vector<Dictionary::ArenaRecord> records;
+  std::vector<char> arena;
+  Dictionary dict;
+};
+
+TEST(DictionaryTest, AttachedAnswersLikeBuilt) {
+  Dictionary built;
+  for (int i = 0; i < 50; ++i) InternSample(&built, std::to_string(i));
+  AttachedCopy attached(built);
+  const Dictionary& dict = attached.dict;
+  ASSERT_EQ(dict.size(), built.size());
+  for (TermId id = 1; id <= built.max_id(); ++id) {
+    EXPECT_EQ(dict.KindOf(id), built.KindOf(id)) << id;
+    EXPECT_EQ(dict.LexicalOf(id), built.LexicalOf(id)) << id;
+    EXPECT_EQ(dict.LanguageOf(id), built.LanguageOf(id)) << id;
+    EXPECT_EQ(dict.DatatypeOf(id), built.DatatypeOf(id)) << id;
+    double a = 0, b = 0;
+    EXPECT_EQ(dict.NumericValue(id, &a), built.NumericValue(id, &b)) << id;
+    EXPECT_EQ(a, b) << id;
+    if (id % 7 == 0) {
+      EXPECT_EQ(dict.Get(id), built.Get(id)) << id;
+      EXPECT_EQ(dict.Lookup(built.Get(id)), id);
+    }
+  }
+}
+
+TEST(DictionaryTest, AttachedInternsLikeAFreshBuild) {
+  Dictionary fresh;
+  InternSample(&fresh, "");
+  AttachedCopy attached(fresh);
+  Dictionary& dict = attached.dict;
+  for (TermId id = 1; id <= fresh.max_id(); ++id) {
+    EXPECT_EQ(dict.Intern(fresh.Get(id)), id);
+  }
+  EXPECT_EQ(dict.size(), fresh.size());
+
+  const Term term = Term::Literal("new", kInvalidTerm, "en");
+  const TermId id = dict.Intern(term);
+  EXPECT_EQ(id, dict.size());
+  EXPECT_EQ(dict.Get(id), term);
+  // Appends past the attached records lay out the bytes a fresh build of
+  // the same intern sequence does.
+  fresh.Intern(term);
+  for (Dictionary* d : {&dict, &fresh}) {
+    for (int i = 0; i < 1000; ++i) InternSample(d, std::to_string(i));
+  }
+  ASSERT_EQ(dict.size(), fresh.size());
+  const size_t record_bytes =
+      fresh.records().size() * sizeof(Dictionary::ArenaRecord);
+  EXPECT_EQ(
+      std::memcmp(dict.records().data(), fresh.records().data(), record_bytes),
+      0);
+  EXPECT_EQ(dict.arena().ToVector(), fresh.arena().ToVector());
+}
+
+TEST(DictionaryTest, InternRefusesALanguageTagARecordCannotHold) {
+  Dictionary dict;
+  const std::string tag(Dictionary::kMaxLanguageBytes + 1, 'a');
+  EXPECT_THROW(dict.Intern(Term::Literal("x", kInvalidTerm, tag)),
+               std::length_error);
+  EXPECT_EQ(dict.size(), 0u);
 }
 
 class GraphTest : public ::testing::Test {
@@ -208,6 +293,17 @@ TEST(NTriplesTest, ErrorNamesLineNumber) {
   Status st = NTriplesReader::ParseString("<a> <b> <c> .\n<bad line\n", &g);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("line 2"), std::string::npos);
+}
+
+TEST(NTriplesTest, RefusesLanguageTagsARecordCannotHold) {
+  const std::string tag(Dictionary::kMaxLanguageBytes, 'a');
+  Graph g;
+  const std::string literal = "<a> <b> \"x\"@" + tag;
+  EXPECT_TRUE(NTriplesReader::ParseString(literal + " .\n", &g).ok());
+  Status st = NTriplesReader::ParseString("<a> <b> <c> .\n" + literal + "a .\n", &g);
+  EXPECT_EQ(st.code(), Status::Code::kParseError);
+  EXPECT_NE(st.message().find("line 2: language tag"), std::string::npos)
+      << st.message();
 }
 
 TEST(NTriplesTest, RoundTrip) {

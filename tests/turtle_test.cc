@@ -194,6 +194,18 @@ TEST(TurtleTest, ErrorsNameTheLine) {
   EXPECT_EQ(st.code(), Status::Code::kParseError);
 }
 
+TEST(TurtleTest, RefusesLanguageTagsARecordCannotHold) {
+  const std::string tag(Dictionary::kMaxLanguageBytes, 'a');
+  const std::string doc =
+      "@prefix ex: <http://x/> .\nex:a ex:p ex:b .\nex:a ex:q \"x\"@" + tag;
+  Graph g;
+  EXPECT_TRUE(TurtleReader::ParseString(doc + " .", &g).ok());
+  Status st = TurtleReader::ParseString(doc + "a .", &g);
+  EXPECT_EQ(st.code(), Status::Code::kParseError);
+  EXPECT_NE(st.message().find("line 3: language tag"), std::string::npos)
+      << st.message();
+}
+
 TEST(TurtleTest, RejectsBadDocuments) {
   auto bad = [](const std::string& doc) {
     Graph g;
