@@ -90,7 +90,7 @@ Status Spade::RunOffline(TripleChunkSource* source) {
 
 Status Spade::LoadStore(const std::string& path) {
   Timer timer;
-  auto reader = std::make_unique<persist::SnapshotReader>();
+  auto reader = std::make_shared<persist::SnapshotReader>();
   persist::SnapshotReader::Options ropts;
   ropts.verify_checksums = options_.verify_snapshot;
   SPADE_RETURN_NOT_OK(reader->Open(path, ropts));
@@ -99,7 +99,10 @@ Status Spade::LoadStore(const std::string& path) {
   SPADE_RETURN_NOT_OK(reader->Load(graph_, &db_, &summary_, &offline_stats_,
                                    &loaded_sets, &meta));
   summary_dirty_ = false;
-  snapshot_ = std::move(reader);  // keep the mapping alive for the attachments
+  // Keep the mapping alive for the attachments: ours, and the graph's for
+  // as long as the caller keeps the graph.
+  graph_->HoldMapping(reader);
+  snapshot_ = std::move(reader);
   report_.num_triples = static_cast<size_t>(meta.num_triples);
   report_.num_direct_properties =
       static_cast<size_t>(meta.num_direct_properties);

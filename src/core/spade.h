@@ -321,7 +321,8 @@ class Spade {
   const std::vector<CandidateFactSet>& fact_sets() const { return fact_sets_; }
   const Arm& arm() const { return *arm_; }
   const std::vector<AttrStats>& offline_stats() const { return offline_stats_; }
-  /// The structural summary of the current graph. After ApplyDelta the
+  /// The structural summary of the current graph: the class CSR that
+  /// RunOffline() built or attached from a snapshot. After ApplyDelta the
   /// rebuild is deferred (nothing on the delta path reads it unless CFS
   /// selection is summary-based); this accessor rebuilds on demand. Not safe
   /// concurrently with explores — call from mutation/setup paths only.
@@ -442,9 +443,11 @@ class Spade {
   /// Per-CFS online results retained for reuse (enable_incremental).
   CfsCache online_cache_;
   size_t num_deltas_applied_ = 0;
-  /// Owns the mmap behind a loaded store; must outlive graph_/db_/summary_
-  /// contents, which borrow from it.
-  std::unique_ptr<persist::SnapshotReader> snapshot_;
+  /// Owns the mmap behind a loaded store; must outlive db_/summary_
+  /// contents, which borrow from it. The graph holds a second reference
+  /// (Graph::HoldMapping), since the caller owns it and may outlive this
+  /// pipeline.
+  std::shared_ptr<persist::SnapshotReader> snapshot_;
 };
 
 }  // namespace spade

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 
 #include "src/util/failpoint.h"
 
@@ -259,31 +258,6 @@ Status SaveSnapshot(const AttributeStore& store,
   // Triple permutations (freezes a dirty graph).
   const Span<Triple> spo = graph.triples();
   const Span<Triple> pos = graph.triples_pos();
-  const Span<Triple> osp = graph.triples_osp();
-
-  // Structural summary, flattened to CSR through the mode-agnostic span
-  // accessors.
-  std::vector<uint32_t> class_offsets{0}, prop_offsets{0};
-  std::vector<TermId> members, props;
-  std::vector<StructuralSummary::NodeClass> node_classes;
-  for (size_t c = 0; c < summary.num_classes(); ++c) {
-    const Span<TermId> m = summary.ClassMembers(c);
-    members.insert(members.end(), m.begin(), m.end());
-    for (TermId node : m) {
-      node_classes.push_back({node, static_cast<uint32_t>(c)});
-    }
-    class_offsets.push_back(static_cast<uint32_t>(members.size()));
-    const Span<TermId> p = summary.ClassPropertySpan(c);
-    props.insert(props.end(), p.begin(), p.end());
-    prop_offsets.push_back(static_cast<uint32_t>(props.size()));
-  }
-  if (members.size() > std::numeric_limits<uint32_t>::max() ||
-      props.size() > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument("summary too large for 32-bit CSR offsets");
-  }
-  std::sort(node_classes.begin(), node_classes.end(),
-            [](const StructuralSummary::NodeClass& a,
-               const StructuralSummary::NodeClass& b) { return a.node < b.node; });
 
   // Attribute tables: metadata blob + three columns each.
   std::string attr_meta;
@@ -375,17 +349,8 @@ Status SaveSnapshot(const AttributeStore& store,
       w.AddSegment(kDictArena, 0, arena);
       w.AddSegment(kTriplesSpo, 0, spo);
       w.AddSegment(kTriplesPos, 0, pos);
-      w.AddSegment(kTriplesOsp, 0, osp);
-      w.AddSegment(kSummaryClassOffsets, 0, class_offsets.data(),
-                   class_offsets.size() * sizeof(uint32_t));
-      w.AddSegment(kSummaryMembers, 0, members.data(),
-                   members.size() * sizeof(TermId));
-      w.AddSegment(kSummaryPropOffsets, 0, prop_offsets.data(),
-                   prop_offsets.size() * sizeof(uint32_t));
-      w.AddSegment(kSummaryProps, 0, props.data(),
-                   props.size() * sizeof(TermId));
-      w.AddSegment(kSummaryNodeClasses, 0, node_classes.data(),
-                   node_classes.size() * sizeof(StructuralSummary::NodeClass));
+      w.AddSegment(kSummaryClassOffsets, 0, summary.class_offsets());
+      w.AddSegment(kSummaryMembers, 0, summary.members());
       w.AddSegment(kAttrStats, 0, pstats.data(),
                    pstats.size() * sizeof(PersistedAttrStats));
       w.AddSegment(kAttrMeta, 0, attr_meta.data(), attr_meta.size());
@@ -584,6 +549,13 @@ Status RequireSpan(const SnapshotReader& reader, uint32_t kind, uint32_t aux,
   return Status::OK();
 }
 
+/// True if `offsets` slices an array of `size` elements into CSR rows: it
+/// starts at 0, never decreases and ends at `size`.
+bool ValidOffsets(Span<uint32_t> offsets, size_t size) {
+  return !offsets.empty() && offsets[0] == 0 && offsets.back() == size &&
+         std::is_sorted(offsets.begin(), offsets.end());
+}
+
 }  // namespace
 
 Status SnapshotReader::Load(Graph* graph,
@@ -620,41 +592,35 @@ Status SnapshotReader::Load(Graph* graph,
     }
   }
 
-  // Triple permutations.
-  Span<Triple> spo, pos, osp;
+  // Triple permutations. The dictionary, the summary rebuild and the
+  // attribute builders index by these ids, so each must name a term.
+  Span<Triple> spo, pos;
   SPADE_RETURN_NOT_OK(RequireSpan(*this, kTriplesSpo, 0, &spo));
   SPADE_RETURN_NOT_OK(RequireSpan(*this, kTriplesPos, 0, &pos));
-  SPADE_RETURN_NOT_OK(RequireSpan(*this, kTriplesOsp, 0, &osp));
-  if (spo.size() != header_.num_triples || pos.size() != header_.num_triples ||
-      osp.size() != header_.num_triples) {
+  if (spo.size() != header_.num_triples || pos.size() != header_.num_triples) {
     return Status::ParseError("snapshot triple count mismatch");
   }
-  if (header_.rdf_type == kInvalidTerm ||
-      header_.rdf_type >= records.size()) {
+  auto in_range = [&](TermId id) {
+    return id != kInvalidTerm && id <= header_.num_terms;
+  };
+  for (Span<Triple> perm : {spo, pos}) {
+    for (const Triple& t : perm) {
+      if (!in_range(t.s) || !in_range(t.p) || !in_range(t.o)) {
+        return Status::ParseError("snapshot triple id out of range");
+      }
+    }
+  }
+  if (!in_range(header_.rdf_type)) {
     return Status::ParseError("snapshot rdf:type id out of range");
   }
 
   // Structural summary CSR.
-  Span<uint32_t> class_offsets, prop_offsets;
-  Span<TermId> members, props;
-  Span<StructuralSummary::NodeClass> node_classes;
+  Span<uint32_t> class_offsets;
+  Span<TermId> members;
   SPADE_RETURN_NOT_OK(RequireSpan(*this, kSummaryClassOffsets, 0, &class_offsets));
   SPADE_RETURN_NOT_OK(RequireSpan(*this, kSummaryMembers, 0, &members));
-  SPADE_RETURN_NOT_OK(RequireSpan(*this, kSummaryPropOffsets, 0, &prop_offsets));
-  SPADE_RETURN_NOT_OK(RequireSpan(*this, kSummaryProps, 0, &props));
-  SPADE_RETURN_NOT_OK(RequireSpan(*this, kSummaryNodeClasses, 0, &node_classes));
-  if (class_offsets.empty() || prop_offsets.size() != class_offsets.size() ||
-      class_offsets[0] != 0 || prop_offsets[0] != 0 ||
-      class_offsets.back() != members.size() ||
-      prop_offsets.back() != props.size() ||
-      node_classes.size() != members.size()) {
+  if (!ValidOffsets(class_offsets, members.size())) {
     return Status::ParseError("snapshot summary CSR is inconsistent");
-  }
-  for (size_t c = 1; c < class_offsets.size(); ++c) {
-    if (class_offsets[c] < class_offsets[c - 1] ||
-        prop_offsets[c] < prop_offsets[c - 1]) {
-      return Status::ParseError("snapshot summary offsets not monotonic");
-    }
   }
 
   // Attribute metadata + statistics.
@@ -689,7 +655,7 @@ Status SnapshotReader::Load(Graph* graph,
     SPADE_RETURN_NOT_OK(RequireSpan(*this, kAttrOffsets, id, &a.offsets));
     SPADE_RETURN_NOT_OK(RequireSpan(*this, kAttrObjects, id, &a.objects));
     if (a.offsets.size() != a.subjects.size() + 1 ||
-        a.offsets.back() != a.objects.size()) {
+        !ValidOffsets(a.offsets, a.objects.size())) {
       return Status::ParseError("snapshot attribute table CSR is inconsistent: " +
                                 a.name);
     }
@@ -754,8 +720,8 @@ Status SnapshotReader::Load(Graph* graph,
   // never leaves the caller's structures half-attached.
   SPADE_FAILPOINT_STATUS("persist.load.attach");
   graph->dict().AttachArena(records, arena);
-  graph->AttachTriples(spo, pos, osp, header_.rdf_type);
-  summary->Attach(class_offsets, members, prop_offsets, props, node_classes);
+  graph->AttachTriples(spo, pos, header_.rdf_type);
+  summary->Attach(class_offsets, members);
   *store = std::make_unique<AttributeStore>(graph);
   for (AttrHeader& a : attrs) {
     AttributeTable t;

@@ -45,17 +45,15 @@ namespace persist {
 /// element type — loading is attaching spans, not parsing.
 
 /// Discriminates segment payloads. Values are persisted; never renumber.
+/// Kinds 5 (OSP triples), 8-9 (class-property CSR) and 10 (node -> class
+/// map) were version 1 segments that nothing read; they stay unused.
 enum SegmentKind : uint32_t {
   kDictRecords = 1,          ///< Dictionary::ArenaRecord[] (slot 0 invalid)
   kDictArena = 2,            ///< char[]: lexical + language bytes
   kTriplesSpo = 3,           ///< Triple[] sorted (s, p, o)
   kTriplesPos = 4,           ///< Triple[] sorted (p, o, s)
-  kTriplesOsp = 5,           ///< Triple[] sorted (o, s, p)
   kSummaryClassOffsets = 6,  ///< uint32_t[num_classes + 1]
   kSummaryMembers = 7,       ///< TermId[]: members CSR'd by class
-  kSummaryPropOffsets = 8,   ///< uint32_t[num_classes + 1]
-  kSummaryProps = 9,         ///< TermId[]: class properties CSR'd by class
-  kSummaryNodeClasses = 10,  ///< StructuralSummary::NodeClass[], node-sorted
   kAttrStats = 11,           ///< PersistedAttrStats[num_attributes]
   kAttrMeta = 12,            ///< blob: per-attribute name/origin/property
   kAttrSubjects = 13,        ///< TermId[]; aux = AttrId
@@ -103,7 +101,7 @@ struct PersistedAttrStats {
 };
 static_assert(sizeof(PersistedAttrStats) == 64, "persisted layout");
 
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint32_t kEndianProbe = 0x01020304;
 inline constexpr char kSnapshotMagic[8] = {'S', 'P', 'A', 'D',
                                            'E', 'S', 'N', 'P'};
@@ -146,14 +144,16 @@ Status SaveSnapshot(const AttributeStore& store,
 
 /// \brief Memory-maps a snapshot and attaches the in-memory structures to it
 /// with zero copies: the dictionary borrows the record array + string arena,
-/// the graph borrows the three triple permutations, each attribute table
-/// borrows its three CSR columns, the summary borrows its CSR arrays. Load
-/// cost is proportional to the number of segments, not the number of
-/// triples (plus one sequential checksum sweep unless disabled).
+/// the graph borrows the two triple permutations, each attribute table
+/// borrows its three CSR columns, the summary borrows its two CSR arrays.
+/// Load cost is one sequential checksum sweep (unless disabled) plus the
+/// range checks of the arrays every accessor indexes with: the dictionary
+/// records, the triples' ids, and the summary and attribute offsets.
 ///
 /// The reader owns the mapping: it must outlive every structure attached by
-/// Load(). On platforms without mmap the file is read into a private buffer
-/// (same interface, one copy).
+/// Load() (a graph can share that ownership; see Graph::HoldMapping). On
+/// platforms without mmap the file is read into a private buffer (same
+/// interface, one copy).
 class SnapshotReader {
  public:
   struct Options {

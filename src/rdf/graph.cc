@@ -20,13 +20,6 @@ struct OrderPOS {
     return a.s < b.s;
   }
 };
-struct OrderOSP {
-  bool operator()(const Triple& a, const Triple& b) const {
-    if (a.o != b.o) return a.o < b.o;
-    if (a.s != b.s) return a.s < b.s;
-    return a.p < b.p;
-  }
-};
 
 }  // namespace
 
@@ -52,7 +45,7 @@ void Graph::Freeze() {
     // Thaw: adding to a borrowed graph copies the borrowed triples once,
     // then the owned path takes over (the mapping itself stays read-only).
     spo_ = bspo_.ToVector();
-    bspo_ = bpos_ = bosp_ = Span<Triple>();
+    bspo_ = bpos_ = Span<Triple>();
     borrowed_ = false;
   }
   spo_.insert(spo_.end(), pending_.begin(), pending_.end());
@@ -61,23 +54,17 @@ void Graph::Freeze() {
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   pos_ = spo_;
   std::sort(pos_.begin(), pos_.end(), OrderPOS());
-  osp_ = spo_;
-  std::sort(osp_.begin(), osp_.end(), OrderOSP());
   dirty_ = false;
 }
 
-void Graph::AttachTriples(Span<Triple> spo, Span<Triple> pos, Span<Triple> osp,
-                          TermId rdf_type) {
+void Graph::AttachTriples(Span<Triple> spo, Span<Triple> pos, TermId rdf_type) {
   pending_.clear();
   spo_.clear();
   pos_.clear();
-  osp_.clear();
   spo_.shrink_to_fit();
   pos_.shrink_to_fit();
-  osp_.shrink_to_fit();
   bspo_ = spo;
   bpos_ = pos;
-  bosp_ = osp;
   borrowed_ = true;
   dirty_ = false;
   rdf_type_ = rdf_type;
@@ -128,15 +115,13 @@ void Graph::StageDelta(std::vector<Triple> adds, std::vector<Triple> retracts,
   };
   stage_perm(spo_view(), OrderSPO(), &out->spo);
   stage_perm(pos_view(), OrderPOS(), &out->pos);
-  stage_perm(osp_view(), OrderOSP(), &out->osp);
 }
 
 void Graph::CommitDelta(GraphDelta&& staged) noexcept {
   spo_.swap(staged.spo);
   pos_.swap(staged.pos);
-  osp_.swap(staged.osp);
   pending_.clear();
-  bspo_ = bpos_ = bosp_ = Span<Triple>();
+  bspo_ = bpos_ = Span<Triple>();
   borrowed_ = false;
   dirty_ = false;
 }
@@ -158,11 +143,6 @@ Span<Triple> Graph::triples_pos() const {
   return pos_view();
 }
 
-Span<Triple> Graph::triples_osp() const {
-  EnsureFrozen();
-  return osp_view();
-}
-
 bool Graph::Contains(TermId s, TermId p, TermId o) const {
   EnsureFrozen();
   Span<Triple> spo = spo_view();
@@ -175,6 +155,7 @@ void Graph::Match(TermId s, TermId p, TermId o,
   EnsureFrozen();
   // Choose the index by bound positions; each branch scans a contiguous range
   // and post-filters remaining bound positions (at most one wildcard gap).
+  // With only the object bound, the scan is all of SPO.
   Span<Triple> spo = spo_view();
   if (s != kInvalidTerm) {
     auto lo = std::lower_bound(spo.begin(), spo.end(), Triple{s, 0, 0}, OrderSPO());
@@ -194,15 +175,9 @@ void Graph::Match(TermId s, TermId p, TermId o,
     }
     return;
   }
-  if (o != kInvalidTerm) {
-    Span<Triple> osp = osp_view();
-    auto lo = std::lower_bound(osp.begin(), osp.end(), Triple{0, 0, o}, OrderOSP());
-    for (auto it = lo; it != osp.end() && it->o == o; ++it) {
-      fn(*it);
-    }
-    return;
+  for (const Triple& t : spo) {
+    if (o == kInvalidTerm || t.o == o) fn(t);
   }
-  for (const Triple& t : spo) fn(t);
 }
 
 std::vector<TermId> Graph::Objects(TermId s, TermId p) const {

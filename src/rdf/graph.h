@@ -2,6 +2,7 @@
 #define SPADE_RDF_GRAPH_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/rdf/dictionary.h"
@@ -22,10 +23,9 @@ struct GraphDelta {
   std::vector<Triple> removed;  ///< net-removed (present before), SPO order
   size_t noop_adds = 0;         ///< added triples that were already present
   size_t noop_retracts = 0;     ///< retractions that removed nothing
-  /// The three permutations of the post-delta triple set, ready to commit.
+  /// The two permutations of the post-delta triple set, ready to commit.
   std::vector<Triple> spo;
   std::vector<Triple> pos;
-  std::vector<Triple> osp;
 };
 
 /// \brief In-memory RDF graph: a dictionary plus an indexed triple set.
@@ -33,14 +33,16 @@ struct GraphDelta {
 /// This is the storage substrate every other module builds on (the paper uses
 /// OntoSQL over PostgreSQL; see DESIGN.md S1/S6 for the substitution).
 ///
-/// Triples are appended, then the graph is frozen: three sorted permutations
-/// (SPO, POS, OSP) are built so that any triple pattern with at least one
-/// bound position resolves to a binary-searchable range. Queries auto-freeze
-/// a dirty graph, so interleaving writes and reads stays correct (at re-sort
+/// Triples are appended, then the graph is frozen: two sorted permutations
+/// (SPO, POS) are built, so a pattern with the subject or the predicate
+/// bound resolves to a binary-searchable range. A pattern with only the
+/// object bound scans SPO and filters on the object: Spade's own passes
+/// never issue one, only the SPARQL evaluator can. Queries auto-freeze a
+/// dirty graph, so interleaving writes and reads stays correct (at re-sort
 /// cost).
 ///
 /// A graph can also *borrow* its permutations (AttachTriples): the snapshot
-/// loader points it at three pre-sorted, typically mmap'd arrays, and every
+/// loader points it at two pre-sorted, typically mmap'd arrays, and every
 /// accessor binary-searches those views directly — identical semantics, zero
 /// copies, O(1) attach. Adding triples to a borrowed graph thaws it (the
 /// borrowed data is copied once, then the normal freeze path runs).
@@ -65,13 +67,18 @@ class Graph {
   /// Borrow pre-sorted triple permutations (each sorted in its own order,
   /// deduplicated — exactly what Freeze() produces and a snapshot stores).
   /// Replaces any existing triples; the backing memory must outlive the
-  /// graph. `rdf_type` is the dictionary id of rdf:type in the attached
-  /// dictionary (persisted in the snapshot header).
-  void AttachTriples(Span<Triple> spo, Span<Triple> pos, Span<Triple> osp,
-                     TermId rdf_type);
+  /// graph, or be handed to HoldMapping(). `rdf_type` is the dictionary id
+  /// of rdf:type in the attached dictionary (persisted in the snapshot
+  /// header).
+  void AttachTriples(Span<Triple> spo, Span<Triple> pos, TermId rdf_type);
 
-  /// True if the triple indexes are borrowed from external memory.
-  bool borrowed() const { return borrowed_; }
+  /// Keep `mapping` (the owner of the memory the dictionary and triples
+  /// were attached to) alive as long as this graph, so the graph can
+  /// outlive whoever loaded it. Released when the graph is destroyed or
+  /// assigned over, or by the next HoldMapping().
+  void HoldMapping(std::shared_ptr<const void> mapping) {
+    mapping_ = std::move(mapping);
+  }
 
   /// Compute the net effect of applying `adds` and `retracts` as one batch
   /// (semantics in GraphDelta's doc) without modifying the graph. The staged
@@ -124,10 +131,9 @@ class Graph {
   /// mutation of the graph.
   Span<Triple> triples() const;
 
-  /// The POS / OSP permutations (frozen order). Snapshot serialization
-  /// persists all three so a load never re-sorts.
+  /// The POS permutation (frozen order). Snapshot serialization persists
+  /// both permutations so a load never re-sorts.
   Span<Triple> triples_pos() const;
-  Span<Triple> triples_osp() const;
 
  private:
   void EnsureFrozen() const;
@@ -137,22 +143,19 @@ class Graph {
   Span<Triple> pos_view() const {
     return borrowed_ ? bpos_ : Span<Triple>(pos_);
   }
-  Span<Triple> osp_view() const {
-    return borrowed_ ? bosp_ : Span<Triple>(osp_);
-  }
 
   Dictionary dict_;
   TermId rdf_type_;
   mutable bool dirty_ = false;
   mutable std::vector<Triple> spo_;  // also the canonical triple list
   mutable std::vector<Triple> pos_;
-  mutable std::vector<Triple> osp_;
   std::vector<Triple> pending_;
   // Borrowed permutations (AttachTriples); empty in owned mode.
   mutable bool borrowed_ = false;
   mutable Span<Triple> bspo_;
   mutable Span<Triple> bpos_;
-  mutable Span<Triple> bosp_;
+  // The owner of the attached memory (HoldMapping); null for a built graph.
+  std::shared_ptr<const void> mapping_;
 };
 
 }  // namespace spade

@@ -174,7 +174,6 @@ Status ParseTerm(std::string_view line, size_t* i, bool allow_literal, Term* out
 }  // namespace
 
 Status NTriplesReader::ParseLine(std::string_view line, Term* s, Term* p, Term* o,
-                                 const Dictionary& /*dict_for_datatypes*/,
                                  Dictionary* dict) {
   std::string_view body = Trim(line);
   if (body.empty() || body[0] == '#') return Status::NotFound("no triple");
@@ -199,9 +198,7 @@ Status NTriplesChunkReader::NextChunk(size_t max_triples,
   while (out->size() < max_triples && std::getline(*in_, line_)) {
     ++lineno_;
     Term s, p, o;
-    Status st =
-        NTriplesReader::ParseLine(line_, &s, &p, &o, graph_->dict(),
-                                  &graph_->dict());
+    Status st = NTriplesReader::ParseLine(line_, &s, &p, &o, &graph_->dict());
     if (st.code() == Status::Code::kNotFound) continue;  // blank/comment
     if (!st.ok()) {
       done_ = true;

@@ -27,10 +27,11 @@ class NTriplesReader {
   /// Parse a string (convenience for tests and generators).
   static Status ParseString(std::string_view text, Graph* graph);
 
-  /// Parse one line into s/p/o Terms. Returns NotFound for blank/comment
-  /// lines (no triple), ParseError on bad syntax.
+  /// Parse one line into s/p/o Terms; a literal's datatype IRI is interned
+  /// into `dict`. Returns NotFound for blank/comment lines (no triple),
+  /// ParseError on bad syntax.
   static Status ParseLine(std::string_view line, Term* s, Term* p, Term* o,
-                          const Dictionary& dict_for_datatypes, Dictionary* dict);
+                          Dictionary* dict);
 };
 
 /// \brief Pull-based N-Triples reader: the chunk-source counterpart of

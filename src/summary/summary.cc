@@ -1,8 +1,7 @@
 #include "src/summary/summary.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <limits>
 
 namespace spade {
 
@@ -31,107 +30,86 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
+constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
+
 }  // namespace
 
-StructuralSummary StructuralSummary::Build(const Graph& graph) {
-  return Build(graph, Options());
-}
+StructuralSummary::StructuralSummary() : class_offsets_(1, 0) { ViewOwned(); }
 
-StructuralSummary StructuralSummary::Build(const Graph& graph,
-                                           const Options& options) {
+StructuralSummary StructuralSummary::Build(const Graph& graph) {
   const Dictionary& dict = graph.dict();
   const TermId rdf_type = graph.rdf_type();
-
-  // Dense-index the summarizable nodes and the properties.
-  std::map<TermId, size_t> node_index;
-  std::map<TermId, size_t> out_prop_index, in_prop_index;
+  const Span<Triple> triples = graph.triples();
   auto is_node = [&](TermId id) {
-    return !options.skip_literal_nodes ||
-           dict.KindOf(id) != TermKind::kLiteral;
+    return dict.KindOf(id) != TermKind::kLiteral;
   };
-  for (const Triple& t : graph.triples()) {
+
+  // Dense indices, looked up by TermId: the summarized nodes in id order
+  // (every subject, typed-only ones included, and every non-literal object
+  // of a non-type triple), then one outgoing anchor per property, then one
+  // incoming anchor per property, each block in id order.
+  const size_t num_ids = dict.size() + 1;
+  std::vector<uint32_t> node_index(num_ids, kAbsent);
+  std::vector<uint32_t> prop_rank(num_ids, kAbsent);
+  for (const Triple& t : triples) {
+    node_index[t.s] = 0;
     if (t.p == rdf_type) continue;
-    node_index.emplace(t.s, 0);
-    if (is_node(t.o)) node_index.emplace(t.o, 0);
-    out_prop_index.emplace(t.p, 0);
-    in_prop_index.emplace(t.p, 0);
+    if (is_node(t.o)) node_index[t.o] = 0;
+    prop_rank[t.p] = 0;
   }
-  // Typed nodes with no other triples still deserve a class.
-  graph.Match(kInvalidTerm, rdf_type, kInvalidTerm,
-              [&](const Triple& t) { node_index.emplace(t.s, 0); });
-
-  size_t next = 0;
-  for (auto& [id, idx] : node_index) idx = next++;
-  // (node indices occupy [0, after_out); property anchors follow)
-  for (auto& [id, idx] : out_prop_index) idx = next++;
-  size_t after_out = next;
-  for (auto& [id, idx] : in_prop_index) idx = next++;
-  (void)after_out;
-
-  UnionFind uf(next);
-  for (const Triple& t : graph.triples()) {
-    if (t.p == rdf_type) continue;
-    uf.Union(node_index.at(t.s), out_prop_index.at(t.p));
-    if (options.use_incoming && is_node(t.o)) {
-      uf.Union(node_index.at(t.o), in_prop_index.at(t.p));
-    }
+  uint32_t num_nodes = 0, num_props = 0;
+  for (size_t id = 1; id < num_ids; ++id) {
+    if (node_index[id] != kAbsent) node_index[id] = num_nodes++;
+    if (prop_rank[id] != kAbsent) prop_rank[id] = num_props++;
   }
 
-  // Gather classes.
-  std::map<size_t, std::vector<TermId>> by_root;
-  for (const auto& [id, idx] : node_index) by_root[uf.Find(idx)].push_back(id);
+  const size_t num_indices = size_t{num_nodes} + 2 * size_t{num_props};
+  UnionFind uf(num_indices);
+  for (const Triple& t : triples) {
+    if (t.p == rdf_type) continue;
+    const size_t out_anchor = num_nodes + prop_rank[t.p];
+    uf.Union(node_index[t.s], out_anchor);
+    if (is_node(t.o)) uf.Union(node_index[t.o], out_anchor + num_props);
+  }
 
+  // Classes in ascending root order, then stably by descending size.
+  std::vector<uint32_t> class_size(num_indices, 0);
+  for (size_t id = 1; id < num_ids; ++id) {
+    if (node_index[id] != kAbsent) ++class_size[uf.Find(node_index[id])];
+  }
+  std::vector<uint32_t> roots;
+  for (size_t r = 0; r < num_indices; ++r) {
+    if (class_size[r] > 0) roots.push_back(static_cast<uint32_t>(r));
+  }
+  std::stable_sort(roots.begin(), roots.end(), [&](uint32_t a, uint32_t b) {
+    return class_size[a] > class_size[b];
+  });
+
+  // CSR: class_size becomes each root's fill cursor; visiting nodes in id
+  // order leaves every class's members sorted.
   StructuralSummary summary;
-  for (auto& [root, members] : by_root) {
-    std::sort(members.begin(), members.end());
-    summary.classes_.push_back(std::move(members));
+  summary.class_offsets_.resize(roots.size() + 1);
+  for (size_t c = 0; c < roots.size(); ++c) {
+    const uint32_t begin = summary.class_offsets_[c];
+    summary.class_offsets_[c + 1] = begin + class_size[roots[c]];
+    class_size[roots[c]] = begin;
   }
-  std::stable_sort(summary.classes_.begin(), summary.classes_.end(),
-                   [](const auto& a, const auto& b) { return a.size() > b.size(); });
-
-  summary.class_properties_.resize(summary.classes_.size());
-  for (size_t c = 0; c < summary.classes_.size(); ++c) {
-    std::set<TermId> props;
-    for (TermId node : summary.classes_[c]) {
-      summary.class_of_[node] = static_cast<int>(c);
-      for (TermId p : graph.PropertiesOf(node)) {
-        if (p != rdf_type) props.insert(p);
-      }
-    }
-    summary.class_properties_[c].assign(props.begin(), props.end());
+  summary.members_.resize(num_nodes);
+  for (size_t id = 1; id < num_ids; ++id) {
+    if (node_index[id] == kAbsent) continue;
+    summary.members_[class_size[uf.Find(node_index[id])]++] =
+        static_cast<TermId>(id);
   }
+  summary.ViewOwned();
   return summary;
 }
 
 void StructuralSummary::Attach(Span<uint32_t> class_offsets,
-                               Span<TermId> members,
-                               Span<uint32_t> prop_offsets, Span<TermId> props,
-                               Span<NodeClass> node_classes) {
-  assert(!class_offsets.empty() && !prop_offsets.empty() &&
-         class_offsets.size() == prop_offsets.size() &&
-         "CSR offset arrays must agree on num_classes + 1");
-  classes_.clear();
-  class_properties_.clear();
-  class_of_.clear();
-  class_offsets_ = class_offsets;
-  members_ = members;
-  prop_offsets_ = prop_offsets;
-  props_ = props;
-  node_classes_ = node_classes;
-  borrowed_ = true;
-}
-
-int StructuralSummary::ClassOf(TermId node) const {
-  if (borrowed_) {
-    auto it = std::lower_bound(
-        node_classes_.begin(), node_classes_.end(), node,
-        [](const NodeClass& a, TermId b) { return a.node < b; });
-    if (it == node_classes_.end() || it->node != node) return -1;
-    return static_cast<int>(it->cls);
-  }
-  auto it = class_of_.find(node);
-  if (it == class_of_.end()) return -1;
-  return it->second;
+                               Span<TermId> members) {
+  class_offsets_ = std::vector<uint32_t>();
+  members_ = std::vector<TermId>();
+  class_offsets_view_ = class_offsets;
+  members_view_ = members;
 }
 
 }  // namespace spade

@@ -1,9 +1,7 @@
 #ifndef SPADE_SUMMARY_SUMMARY_H_
 #define SPADE_SUMMARY_SUMMARY_H_
 
-#include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/rdf/graph.h"
@@ -13,108 +11,68 @@ namespace spade {
 
 /// \brief RDFQuotient-style structural summary (Goasdoué et al., VLDBJ'20).
 ///
-/// Spade's offline phase summarizes the graph to (a) enumerate properties and
-/// (b) propose groups of structurally equivalent nodes that become
-/// summary-based candidate fact sets (Section 3, step 1).
+/// Spade's offline phase summarizes the graph to propose groups of
+/// structurally equivalent nodes that become summary-based candidate fact
+/// sets (Section 3, step 1).
 ///
 /// We implement *weak equivalence*: data properties are grouped into cliques
 /// — two properties are related if some node carries both (as outgoing
 /// properties: source cliques; as incoming: target cliques) — and nodes are
 /// equivalent iff their properties fall in the same cliques. Operationally
 /// this is a union–find: every node is unioned with a per-property anchor for
-/// each of its outgoing (and incoming) properties, which yields exactly the
+/// each of its outgoing and incoming properties, which yields exactly the
 /// transitively-closed weak-equivalence partition. rdf:type triples are
 /// excluded from the clique computation, as in RDFQuotient, where types
-/// annotate rather than define the structure.
+/// annotate rather than define the structure; literals never form nodes.
 ///
-/// Like the attribute tables, a summary can *borrow* its data (Attach): the
-/// snapshot loader points it at flat CSR segments — class-member lists,
-/// class-property lists, and a node-sorted (node, class) array for ClassOf —
-/// and the span accessors (ClassMembers / ClassPropertySpan) serve both
-/// modes identically.
+/// The summary has one layout, the one snapshots persist: a CSR of class
+/// offsets (num_classes + 1 entries) slicing one member array. The read
+/// accessors go through two views, which point either at the summary's own
+/// vectors or, after Attach(), at a snapshot's segments (typically mmap'd).
+/// Move-only: a move keeps both views valid because a vector move keeps its
+/// buffer.
 class StructuralSummary {
  public:
-  struct Options {
-    /// Also union nodes by shared *incoming* properties (full weak
-    /// equivalence). When false, only source (outgoing) cliques are used,
-    /// which yields a finer partition.
-    bool use_incoming = true;
-    /// Literal objects never form equivalence classes of their own.
-    bool skip_literal_nodes = true;
-  };
+  /// An empty summary (no classes).
+  StructuralSummary();
+  StructuralSummary(StructuralSummary&&) = default;
+  StructuralSummary& operator=(StructuralSummary&&) = default;
 
-  /// Build the summary of `graph` (overload: default options).
+  /// Build the summary of `graph`. Classes are ordered by descending size
+  /// (ties by the union-find root they were found under), members by TermId.
   static StructuralSummary Build(const Graph& graph);
-  static StructuralSummary Build(const Graph& graph, const Options& options);
 
-  /// One entry of the borrowed node -> class map, sorted by node id.
-  /// Fixed 8-byte layout, persisted verbatim in snapshots.
-  struct NodeClass {
-    TermId node = 0;
-    uint32_t cls = 0;
-  };
-  static_assert(sizeof(NodeClass) == 8, "persisted layout");
+  /// Borrow the summary from CSR arrays (typically mmap'd snapshot
+  /// segments): `class_offsets` (num_classes + 1 entries, starting at 0 and
+  /// ending at members.size()) slices `members` into per-class sorted member
+  /// lists. Replaces any built state; the backing memory must outlive the
+  /// summary.
+  void Attach(Span<uint32_t> class_offsets, Span<TermId> members);
 
-  /// Borrow the summary from flat CSR arrays (typically mmap'd snapshot
-  /// segments): `class_offsets` (size num_classes + 1) slices `members`
-  /// into per-class sorted member lists; `prop_offsets` / `props` likewise
-  /// for per-class property lists; `node_classes` is sorted by node id.
-  /// Replaces any built state; the backing memory must outlive the summary.
-  void Attach(Span<uint32_t> class_offsets, Span<TermId> members,
-              Span<uint32_t> prop_offsets, Span<TermId> props,
-              Span<NodeClass> node_classes);
+  size_t num_classes() const { return class_offsets_view_.size() - 1; }
 
-  bool borrowed() const { return borrowed_; }
-
-  size_t num_classes() const {
-    return borrowed_ ? class_offsets_.size() - 1 : classes_.size();
-  }
-
-  /// Members of class `c`, sorted by TermId (both modes; classes ordered by
-  /// descending size).
+  /// Members of class `c`, sorted by TermId.
   Span<TermId> ClassMembers(size_t c) const {
-    if (!borrowed_) return Span<TermId>(classes_[c]);
-    return members_.subspan(class_offsets_[c],
-                            class_offsets_[c + 1] - class_offsets_[c]);
+    return members_view_.subspan(
+        class_offsets_view_[c],
+        class_offsets_view_[c + 1] - class_offsets_view_[c]);
   }
 
-  /// Properties whose subjects fall in class `c`, sorted (both modes).
-  Span<TermId> ClassPropertySpan(size_t c) const {
-    if (!borrowed_) return Span<TermId>(class_properties_[c]);
-    return props_.subspan(prop_offsets_[c],
-                          prop_offsets_[c + 1] - prop_offsets_[c]);
-  }
-
-  /// Class index of a node, or -1 if the node is not summarized.
-  int ClassOf(TermId node) const;
-
-  /// Equivalence classes over the graph's non-literal nodes, each sorted by
-  /// TermId; classes ordered by descending size. Built (owned) summaries
-  /// only — span-based consumers should use ClassMembers().
-  const std::vector<std::vector<TermId>>& classes() const {
-    assert(!borrowed_ && "classes() needs an owned summary; use ClassMembers()");
-    return classes_;
-  }
-
-  /// Properties whose subjects fall in class `cls` (the summary edge
-  /// labels). Built (owned) summaries only; see ClassPropertySpan().
-  const std::vector<TermId>& ClassProperties(int cls) const {
-    assert(!borrowed_ &&
-           "ClassProperties() needs an owned summary; use ClassPropertySpan()");
-    return class_properties_[cls];
-  }
+  /// The CSR as a snapshot stores it.
+  Span<uint32_t> class_offsets() const { return class_offsets_view_; }
+  Span<TermId> members() const { return members_view_; }
 
  private:
-  std::vector<std::vector<TermId>> classes_;
-  std::vector<std::vector<TermId>> class_properties_;
-  std::unordered_map<TermId, int> class_of_;
-  // Borrowed CSR views (Attach); empty in owned mode.
-  bool borrowed_ = false;
-  Span<uint32_t> class_offsets_;
-  Span<TermId> members_;
-  Span<uint32_t> prop_offsets_;
-  Span<TermId> props_;
-  Span<NodeClass> node_classes_;
+  /// Point the views at the owned vectors.
+  void ViewOwned() {
+    class_offsets_view_ = Span<uint32_t>(class_offsets_);
+    members_view_ = Span<TermId>(members_);
+  }
+
+  std::vector<uint32_t> class_offsets_;  ///< owned; empty while attached
+  std::vector<TermId> members_;          ///< owned; empty while attached
+  Span<uint32_t> class_offsets_view_;    ///< class_offsets_ or attached
+  Span<TermId> members_view_;            ///< members_ or attached
 };
 
 }  // namespace spade

@@ -303,6 +303,24 @@ std::string CanonTermKey(const Dictionary& dict, TermId id) {
          t.datatype + "|" + t.language;
 }
 
+/// The structural summary's partition at value level: each class as its
+/// sorted member keys, the classes sorted. Class ids follow the dictionary's
+/// id assignment; the partition does not.
+std::vector<std::vector<std::string>> CanonPartition(
+    const StructuralSummary& summary, const Dictionary& dict) {
+  std::vector<std::vector<std::string>> out;
+  for (size_t c = 0; c < summary.num_classes(); ++c) {
+    std::vector<std::string> cls;
+    for (TermId id : summary.ClassMembers(c)) {
+      cls.push_back(CanonTermKey(dict, id));
+    }
+    std::sort(cls.begin(), cls.end());
+    out.push_back(std::move(cls));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// Sorted (dim value renderings, measure value) tuples of one MDA.
 using CanonGroups = std::vector<std::pair<std::vector<std::string>, double>>;
 /// Every evaluated MDA keyed representation-independently: CFS name, dim
@@ -429,6 +447,12 @@ TEST(DeltaDifferentialTest, MutationBatchesMatchFreshRebuildAcrossConfigs) {
     EXPECT_TRUE(SameCanonArm(DumpArm(incr, *pipelines[0].graph),
                              DumpArm(*fresh.spade, *fresh.graph)));
     EXPECT_EQ(incr.report().num_triples, cur.size());
+    // The summary rebuilt after the deltas partitions the same terms.
+    const auto partition =
+        CanonPartition(incr.summary(), pipelines[0].graph->dict());
+    EXPECT_FALSE(partition.empty());
+    EXPECT_EQ(partition,
+              CanonPartition(fresh.spade->summary(), fresh.graph->dict()));
   };
   check_against_fresh(-1);
 
